@@ -43,7 +43,7 @@ def cmd_verify(args) -> int:
     try:
         K = Manifold4Input(_load_oriented(args.input))
         report = verify_4manifold(K, _reduction_config(args), jobs=args.jobs)
-    except ComplexError as exc:
+    except (ComplexError, OSError) as exc:
         return _fail(args, exc)
     payload = {"ok": True, **report.to_json()}
     _emit(args, payload,
@@ -55,7 +55,7 @@ def cmd_reduce(args) -> int:
     try:
         L = _load_oriented(args.input)
         seq = reduce_sphere(L, _reduction_config(args))
-    except ComplexError as exc:
+    except (ComplexError, OSError) as exc:
         return _fail(args, exc)
     _emit(args, {"moves": json.loads(seq.to_json())},
           seq.to_json())
@@ -71,7 +71,7 @@ def cmd_p1(args) -> int:
         budget = SolverBudget(radius_max=args.radius_max, seed=args.seed)
         value, cert, report, gamma = pontryagin_number(
             K, _reduction_config(args), budget)
-    except ComplexError as exc:
+    except (ComplexError, OSError) as exc:
         return _fail(args, exc)
     payload = {"p1": str(value), "cycle_size": len(gamma.coefficients),
                "radius_used": cert.radius_used}
@@ -142,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("p1", help="first Pontryagin number of a 4-manifold")
     common(p)
     reduction_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--radius-max", type=int, default=2)
     p.add_argument("--certificate", action="store_true")
     p.add_argument("--reverse-orientation", action="store_true")

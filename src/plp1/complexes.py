@@ -51,6 +51,10 @@ class VertexCollision(ComplexError):
     pass
 
 
+class FacetFormatError(ComplexError):
+    pass
+
+
 def simplex(vertices: Iterable[int]) -> Simplex:
     """Sorted vertex tuple; rejects repeated labels."""
     s = tuple(sorted(vertices))
@@ -356,17 +360,20 @@ def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
     explicit = False
     want_dim = None
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            continue
-        if line.startswith("dim="):
-            want_dim = int(line[4:])
             continue
         if line.startswith("orient="):
             explicit = line[7:].strip() == "explicit"
             continue
-        rows.append([int(tok) for tok in line.split()])
+        try:
+            if line.startswith("dim="):
+                want_dim = int(line[4:])
+            else:
+                rows.append([int(tok) for tok in line.split()])
+        except ValueError:
+            raise FacetFormatError(f"line {lineno}: not integers: {line!r}") from None
     K = build_complex(rows)
     if want_dim is not None and K.dim != want_dim:
         raise ComplexError(f"declared dim={want_dim} but facets have dim {K.dim}")
@@ -381,4 +388,8 @@ def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
 
 def load_facet_file(path) -> OrientedComplex | SimplicialComplex:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_facet_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FacetFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_facet_text(text)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from . import canonical
 from .complexes import ComplexError, OrientedComplex
-from .moves import Move, MoveSequence, apply_move, is_admissible, MoveNotAdmissible
+from .moves import Move, MoveSequence, apply_move
 
 
 class LoopNotClosed(ComplexError):
@@ -66,8 +66,6 @@ def edge_of_move(L: OrientedComplex, m: Move,
     the inverse move returns the same key with the opposite sign.
     """
     if L2 is None:
-        if not is_admissible(L, m):
-            raise MoveNotAdmissible(f"{m} not admissible")
         L2 = apply_move(L, m)
     src = endpoint(L, m.delta1)
     dst = endpoint(L2, m.delta2)
@@ -229,16 +227,15 @@ def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move]):
     """Signed sum of the edges of a closed move loop, inessential steps
     dropped; raises LoopNotClosed unless the replay returns to a sphere
     orientation-preservingly isomorphic to the start."""
-    seq = MoveSequence(L0, moves)
     chain = Chain1()
     registry = {}
-    for state, m, nxt in seq.replay():
+    final = L0
+    for state, m, final in MoveSequence(L0, moves).replay():
         registry[canonical.code_bytes(state)] = state
-        registry[canonical.code_bytes(nxt)] = nxt
-        e = edge_of_move(state, m, L2=nxt)
+        registry[canonical.code_bytes(final)] = final
+        e = edge_of_move(state, m, L2=final)
         if e is not None:
             chain = chain + single_edge(*e)
-    final = seq.final()
     if canonical.code_bytes(final) != canonical.code_bytes(L0):
         raise LoopNotClosed("replay does not return to the initial sphere")
     return chain, registry

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import canonical
-from .complexes import (ComplexError, OrientedComplex, Simplex,
-                        SimplicialComplex, extend_orientation, oriented_link,
-                        subsimplex_parity, LINK_SIGN)
+from .complexes import (ComplexError, NonOrientable, OrientedComplex,
+                        Simplex, SimplicialComplex, extend_orientation,
+                        oriented_link, subsimplex_parity, LINK_SIGN)
 
 
 class MoveNotAdmissible(ComplexError):
@@ -102,26 +102,33 @@ def admissible_moves(L: OrientedComplex) -> list:
 
 def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
     """(L minus d1*boundary(d2)) union (boundary(d1)*d2), orientation
-    propagated so surviving facets keep their signs."""
+    propagated so surviving facets keep their signs.
+
+    Each new facet G = (d1 - a) + d2 shares the ridge (d1 - a) + (d2 - b)
+    with the removed facet F = d1 + (d2 - b) for every b in d2, and takes
+    over F's neighbour across it, so sign(G) = sign(F) * (-1)**(i + j) with
+    a at index i of F and b at index j of G.  The choices of b must agree.
+    """
     if not is_admissible(L, m):
         raise MoveNotAdmissible(f"{m} not admissible")
     d1, d2 = m.delta1, m.delta2
-    removed = {f for f in L.facets if set(d1) <= set(f)}
-    if len(d1) == 1:
-        added = [d2]
-    else:
-        added = [tuple(sorted(set(d1) - {a} | set(d2))) for a in d1]
-    facets = (set(L.facets) - removed) | set(added)
-    seeds = {f: s for f, s in L.signs.items() if f in facets}
-    if not seeds:
+    s1 = set(d1)
+    signs = {f: s for f, s in L.signs.items() if not s1.issubset(f)}
+    if not signs:
         raise MoveNotAdmissible("move would replace the whole sphere")
-    signs = extend_orientation(facets, seeds)
-    return OrientedComplex(SimplicialComplex(facets), signs)
-
-
-def invert_move(L: OrientedComplex, m: Move) -> Move:
-    """The move on apply_move(L, m) whose application restores L."""
-    return m.inverse()
+    star = s1 | set(d2)
+    for a in d1:
+        g = tuple(sorted(star - {a}))
+        want = None
+        for b in d2:
+            f = tuple(sorted(star - {b}))
+            s = L.signs[f] * (-1) ** (f.index(a) + g.index(b))
+            if want is None:
+                want = s
+            elif s != want:
+                raise NonOrientable(f"parity conflict in the star of {d1}")
+        signs[g] = want
+    return OrientedComplex(SimplicialComplex(signs), signs)
 
 
 def is_essential(L: OrientedComplex, m: Move) -> bool:
@@ -182,8 +189,6 @@ def induced_vertex_moves(K: OrientedComplex, m: Move) -> list:
 def build_L_beta(L1: OrientedComplex, m: Move) -> OrientedComplex:
     """The sphere C L1 union C L2 union (d1 * d2) of a move, oriented so the
     induced orientation of the link of the second cone vertex is L2."""
-    if not is_admissible(L1, m):
-        raise MoveNotAdmissible(f"{m} not admissible")
     L2 = apply_move(L1, m)
     top = max(max(L1.vertices), max(L2.vertices))
     u1, u2 = top + 1, top + 2
@@ -211,12 +216,14 @@ class MoveSequence:
         return len(self.moves)
 
     def replay(self):
-        """Yields (state_before, move, state_after) with admissibility checks."""
+        """Yields (state_before, move, state_after); apply_move checks
+        admissibility and the failing step is named."""
         state = self.initial
         for j, m in enumerate(self.moves):
-            if not is_admissible(state, m):
-                raise MoveNotAdmissible(f"step {j}: {m} not admissible")
-            nxt = apply_move(state, m)
+            try:
+                nxt = apply_move(state, m)
+            except MoveNotAdmissible as exc:
+                raise MoveNotAdmissible(f"step {j}: {exc}") from exc
             yield state, m, nxt
             state = nxt
 
@@ -226,17 +233,10 @@ class MoveSequence:
             pass
         return state
 
-    def states(self) -> list:
-        out = [self.initial]
-        for _, _, nxt in self.replay():
-            out.append(nxt)
-        return out
-
     def reversed(self) -> "MoveSequence":
         """The inverse sequence, from the final complex back to the initial."""
-        states = self.states()
         rev = [m.inverse() for m in reversed(self.moves)]
-        return MoveSequence(states[-1], rev)
+        return MoveSequence(self.final(), rev)
 
     def to_json(self) -> str:
         return json.dumps([m.to_json() for m in self.moves])

@@ -177,10 +177,17 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
     frontier = list(anchors.values())
     target = dict(gamma.coefficients)
 
+    enumerated = set()
     for radius in range(budget.radius_max + 1):
         batch = []
         for L in frontier:
             check_clock()
+            # _candidates_at(L) already holds the mirror of every chain at
+            # the mirror sphere, so an anchor whose mirror was enumerated
+            # would add only duplicates.
+            if canonical.mirror_code_bytes(L) in enumerated:
+                continue
+            enumerated.add(canonical.code_bytes(L))
             for cand in _candidates_at(L, budget.kinds):
                 rep, _ = cand.chain.normalized()
                 key = rep.frozen()

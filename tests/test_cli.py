@@ -113,3 +113,20 @@ def test_env_fixture_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("P1_FIXTURES", str(tmp_path))
     from plp1 import fixtures
     assert fixtures.boundary_d5().dim == 4
+
+
+def test_malformed_input_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.facets"
+    for content in (b"dim=x\n1 2 3 4 5\n", b"1 2 3 4 five\n", b"\xba\xff\n"):
+        path.write_bytes(content)
+        code, _, err = run_cli(capsys, "p1", str(path), "--json")
+        assert code == 1
+        assert json.loads(err)["error"] == "FacetFormatError"
+
+
+def test_missing_input_exits_one(capsys, tmp_path):
+    for verb in ("p1", "verify", "reduce"):
+        code, _, err = run_cli(capsys, verb, str(tmp_path / "absent.facets"),
+                               "--json")
+        assert code == 1
+        assert json.loads(err)["error"] == "FileNotFoundError"

@@ -33,7 +33,7 @@ def test_move_and_inverse_share_key_with_opposite_signs(stacked6):
         if e is None:
             continue
         key, sign = e
-        key2, sign2 = g2.edge_of_move(L2, mv.invert_move(stacked6, m))
+        key2, sign2 = g2.edge_of_move(L2, m.inverse())
         assert key2 == key and sign2 == -sign
 
 

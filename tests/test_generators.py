@@ -192,3 +192,34 @@ def test_octahedron_admissible_pairs_exist(octahedron):
     # every edge of the octahedron is flippable, pairs exclude facet-sharing
     for e1, e2 in pairs:
         assert not any(set(e1) | set(e2) <= set(f) for f in octahedron.facets)
+
+
+def _normalized_entries(chains_and_values):
+    out = set()
+    for chain, value in chains_and_values:
+        rep, sign = chain.normalized()
+        out.add((rep.frozen(), value * sign))
+    return out
+
+
+def test_mirror_sphere_enumerates_mirrored_chains():
+    """The solver skips an anchor whose mirror it has enumerated; that is
+    sound because the chains at L.reverse() are the mirrors of those at L,
+    with negated values."""
+    from plp1.fixtures import cp2_9
+    from plp1 import pontryagin as pt
+    from plp1.reduction import ReductionConfig
+    K = pt.Manifold4Input(cp2_9())
+    report = pt.verify_4manifold(K, ReductionConfig(seed=0))
+    gamma, registry = pt.assemble_p1_cycle(K, report.links)
+    codes = {code for key in gamma.coefficients
+             for code in (key.a.code, key.b.code)}
+    assert codes
+    for code in sorted(codes):
+        L = registry.get(code) or canon.complex_from_code(code)
+        here = gen.enumerate_at(L)
+        there = gen.enumerate_at(L.reverse())
+        mirrored = _normalized_entries(
+            (g2.mirror_chain(g.chain), -g.value) for g in here)
+        assert mirrored == _normalized_entries(
+            (g.chain, g.value) for g in there)

@@ -31,7 +31,7 @@ def test_euler_preserved_by_all_moves(octahedron):
 def test_apply_then_inverse_is_identity(octahedron):
     for m in mv.admissible_moves(octahedron):
         L2 = mv.apply_move(octahedron, m)
-        assert mv.apply_move(L2, mv.invert_move(octahedron, m)) == octahedron
+        assert mv.apply_move(L2, m.inverse()) == octahedron
 
 
 def test_inadmissible_rejected(octahedron):
@@ -104,7 +104,7 @@ def test_L_beta_of_inverse_is_antiisomorphic():
     m = mv.make_move(d3, (0, 1, 2))
     L2 = mv.apply_move(d3, m)
     lb = mv.build_L_beta(d3, m)
-    lb_inv = mv.build_L_beta(L2, mv.invert_move(d3, m))
+    lb_inv = mv.build_L_beta(L2, m.inverse())
     assert canon.iso_generic(lb, lb_inv.reverse(), orientation=True) is not None
 
 
@@ -124,3 +124,38 @@ def test_sequence_replay_and_reverse():
     text = seq.to_json()
     again = mv.MoveSequence.from_json(seq.initial, text)
     assert [m.delta1 for m in again.moves] == [m.delta1 for m in seq.moves]
+
+
+def _random_walk_signs_agree(L, steps, rng):
+    """Apply seeded random admissible moves; at each step the local signs of
+    apply_move must equal a full propagation from the surviving facets."""
+    for _ in range(steps):
+        m = rng.choice(mv.admissible_moves(L))
+        out = mv.apply_move(L, m)
+        survivors = {f: s for f, s in L.signs.items() if f in out.signs}
+        assert out.signs == cx.extend_orientation(out.facets, survivors)
+        L = out
+
+
+def test_local_signs_match_propagation(octahedron):
+    import random
+    from plp1.fixtures import cp2_9
+    rng = random.Random(5)
+    _random_walk_signs_agree(octahedron, 30, rng)
+    K = cp2_9()
+    for v in (1, 5, 9):
+        lk = cx.oriented_link(K, v)
+        _random_walk_signs_agree(lk, 12, rng)
+        for w in sorted(lk.vertices)[:2]:
+            _random_walk_signs_agree(cx.oriented_link(lk, w), 15, rng)
+
+
+def test_inconsistent_star_is_non_orientable(octahedron):
+    m = mv.make_move(octahedron, (1, 2))
+    assert len(m.delta2) == 2
+    f = next(f for f in sorted(octahedron.facets) if set(m.delta1) <= set(f))
+    signs = dict(octahedron.signs)
+    signs[f] = -signs[f]
+    bad = cx.OrientedComplex(octahedron.complex, signs)
+    with pytest.raises(cx.NonOrientable):
+        mv.apply_move(bad, m)
