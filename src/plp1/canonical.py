@@ -161,30 +161,6 @@ def sphere_data(L: OrientedComplex) -> SphereData:
     return data
 
 
-class CanonicalCode:
-    """Canonical code of an oriented 2-sphere plus its mirror code."""
-
-    __slots__ = ("bytes", "mirror_bytes")
-
-    def __init__(self, code, mirror_code):
-        self.bytes = bytes(code)
-        self.mirror_bytes = bytes(mirror_code)
-
-    def __eq__(self, other):
-        return isinstance(other, CanonicalCode) and self.bytes == other.bytes
-
-    def __hash__(self):
-        return hash(self.bytes)
-
-    def hex(self) -> str:
-        return self.bytes.hex()
-
-
-def code_2sphere(L: OrientedComplex) -> CanonicalCode:
-    data = sphere_data(L)
-    return CanonicalCode(data.code, data.mirror_code)
-
-
 def code_bytes(L: OrientedComplex) -> bytes:
     return bytes(sphere_data(L).code)
 

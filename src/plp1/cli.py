@@ -42,7 +42,7 @@ def _fail(args, exc: Exception) -> int:
 def cmd_verify(args) -> int:
     try:
         K = Manifold4Input(_load_oriented(args.input))
-        report = verify_4manifold(K, _reduction_config(args), jobs=args.jobs)
+        report = verify_4manifold(K, _reduction_config(args))
     except (ComplexError, OSError) as exc:
         return _fail(args, exc)
     payload = {"ok": True, **report.to_json()}
@@ -131,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify all vertex links as 3-spheres")
     common(p)
     reduction_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reduce", help="reduce a 2- or 3-sphere to a simplex boundary")

@@ -16,12 +16,6 @@ from typing import Iterable, Mapping
 Vertex = int
 Simplex = tuple
 
-# Vertex-link orientation convention: a positively oriented facet written
-# (v, w0, ..., w_{n-1}) induces the positively oriented facet
-# (w0, ..., w_{n-1}) in the link of v.  Flipping this constant is used by
-# the negative-control test suite; everything downstream must then fail.
-LINK_SIGN = 1
-
 
 class ComplexError(Exception):
     pass
@@ -182,25 +176,6 @@ def require_closed(K: SimplicialComplex) -> None:
         raise ComplexError("complex is not connected")
 
 
-def link(K: SimplicialComplex, s: Simplex) -> SimplicialComplex:
-    """Link of a proper face, as a complex of facets {F \\ s : F >= s}."""
-    s = tuple(sorted(s))
-    facets = [tuple(v for v in f if v not in s)
-              for f in K.facets if set(s) <= set(f)]
-    facets = [f for f in facets if f]
-    if not facets:
-        raise SimplexNotInComplex(f"{s} has empty link in {K!r}")
-    return SimplicialComplex(facets)
-
-
-def star(K: SimplicialComplex, s: Simplex) -> SimplicialComplex:
-    s = tuple(sorted(s))
-    facets = [f for f in K.facets if set(s) <= set(f)]
-    if not facets:
-        raise SimplexNotInComplex(f"{s} not in {K!r}")
-    return SimplicialComplex(facets)
-
-
 def full_subcomplex(K: SimplicialComplex, V: Iterable[int]) -> SimplicialComplex:
     """Subcomplex of all simplices with vertices in V, by maximal simplices."""
     vs = set(V)
@@ -220,10 +195,6 @@ def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
         raise VertexCollision(f"{set(A.vertices) & set(B.vertices)} shared")
     return SimplicialComplex(
         [tuple(sorted(f + g)) for f in A.facets for g in B.facets])
-
-
-def cone(A: SimplicialComplex, apex: int) -> SimplicialComplex:
-    return join(A, SimplicialComplex([(apex,)]))
 
 
 class OrientedComplex:
@@ -322,12 +293,15 @@ def oriented_link(L: OrientedComplex, v: int) -> OrientedComplex:
 
 
 def oriented_link_simplex(L: OrientedComplex, s: Simplex) -> OrientedComplex:
+    """Link of a simplex with the induced orientation: a positively oriented
+    facet written (s, w0, ..., w_k) induces the positively oriented facet
+    (w0, ..., w_k) in the link of s."""
     s = tuple(sorted(s))
     facets = {}
     for f, sign in L.signs.items():
         if set(s) <= set(f):
             rest = tuple(v for v in f if v not in s)
-            facets[rest] = sign * subsimplex_parity(f, s) * LINK_SIGN
+            facets[rest] = sign * subsimplex_parity(f, s)
     if not facets or () in facets:
         raise SimplexNotInComplex(f"{s} has no proper link")
     return OrientedComplex(SimplicialComplex(facets), facets)
@@ -349,13 +323,13 @@ def suspension(L: OrientedComplex) -> OrientedComplex:
     a, b = m + 1, m + 2
     K = join(L.complex, SimplicialComplex([(a,), (b,)]))
     seed_facet = tuple(sorted(min(L.facets) + (a,)))
-    seed_sign = L.signs[min(L.facets)] * subsimplex_parity(seed_facet, (a,)) * LINK_SIGN
+    seed_sign = L.signs[min(L.facets)] * subsimplex_parity(seed_facet, (a,))
     return OrientedComplex(K, extend_orientation(K.facets, {seed_facet: seed_sign}))
 
 
 def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
-    """Facet-list format: one facet per line, whitespace-separated positive
-    integer labels; '#' starts a comment; optional 'dim=<n>' header; a leading
+    """Facet-list format: one facet per line, whitespace-separated integer
+    labels; '#' starts a comment; optional 'dim=<n>' header; a leading
     'orient=explicit' header makes in-row order define facet signs."""
     explicit = False
     want_dim = None

@@ -515,36 +515,3 @@ def _link_cycle(L: OrientedComplex, v) -> list:
         cyc.append(cur)
         cur = rot[cur]
     return cyc
-
-
-def is_regular(L: OrientedComplex, marked: Iterable[int]) -> bool:
-    """Diagnostic regularity of a generator configuration: the union of the
-    marked vertices' stars is a full subcomplex, and any outside vertex seeing
-    two marked vertices sees their joining triangle."""
-    X = set(marked)
-    star_facets = {f for f in L.facets if set(f) & X}
-    verts = {v for f in star_facets for v in f}
-    full = full_subcomplex(L.complex, verts)
-    union = SimplexSet(star_facets)
-    for f in full.facets:
-        if not union.contains(f):
-            return False
-    edges = L.complex.faces(1)
-    for w in L.vertices:
-        if w in X:
-            continue
-        nbrs = {a for a in X if tuple(sorted((w, a))) in edges}
-        for a, b in itertools.combinations(sorted(nbrs), 2):
-            if tuple(sorted((w, a, b))) not in L.facets:
-                return False
-    return True
-
-
-class SimplexSet:
-    """Face membership for a set of facets."""
-
-    def __init__(self, facets):
-        self.facets = set(facets)
-
-    def contains(self, s) -> bool:
-        return any(set(s) <= set(f) for f in self.facets)

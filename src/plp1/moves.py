@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from . import canonical
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
                         Simplex, SimplicialComplex, extend_orientation,
-                        oriented_link, subsimplex_parity, LINK_SIGN)
+                        oriented_link, subsimplex_parity)
 
 
 class MoveNotAdmissible(ComplexError):
@@ -58,10 +58,10 @@ def make_move(L: OrientedComplex, delta1: Iterable[int],
         if nv in L.vertices:
             raise MoveNotAdmissible(f"vertex {nv} already present")
         return Move(d1, (nv,))
-    if not L.complex.has_simplex(d1):
-        raise MoveNotAdmissible(f"{d1} not in complex")
     lk = [tuple(v for v in f if v not in d1)
           for f in L.facets if set(d1) <= set(f)]
+    if not lk:
+        raise MoveNotAdmissible(f"{d1} not in complex")
     d2 = tuple(sorted({v for f in lk for v in f}))
     want = set(itertools.combinations(d2, len(d2) - 1))
     if len(d2) != n + 2 - len(d1) or set(lk) != want:
@@ -197,7 +197,7 @@ def build_L_beta(L1: OrientedComplex, m: Move) -> OrientedComplex:
     facets.add(tuple(sorted(m.delta1 + m.delta2)))
     g0 = min(L2.facets)
     seed = tuple(sorted(g0 + (u2,)))
-    seed_sign = L2.signs[g0] * subsimplex_parity(seed, (u2,)) * LINK_SIGN
+    seed_sign = L2.signs[g0] * subsimplex_parity(seed, (u2,))
     signs = extend_orientation(facets, {seed: seed_sign})
     out = OrientedComplex(SimplicialComplex(facets), signs)
     if oriented_link(out, u2) != L2:

@@ -33,7 +33,6 @@ class AssembledChainNotACycle(ComplexError):
 @dataclass
 class Manifold4Input:
     complex: OrientedComplex
-    provenance: str = ""
 
     def __post_init__(self):
         if self.complex.dim != 4:
@@ -54,8 +53,7 @@ class VerificationReport:
 
 
 def verify_4manifold(K: Manifold4Input,
-                     cfg: Optional[ReductionConfig] = None,
-                     jobs: int = 1) -> VerificationReport:
+                     cfg: Optional[ReductionConfig] = None) -> VerificationReport:
     """Certify every vertex link as a 3-sphere; raises LinkNotCertified."""
     cfg = cfg or ReductionConfig()
     oc = K.complex
@@ -67,21 +65,11 @@ def verify_4manifold(K: Manifold4Input,
         report.link_sizes[v] = (len(lk.vertices), len(lk.facets))
         if not lk.complex.is_closed_pseudomanifold():
             raise LinkNotCertified(v, "link is not a closed pseudomanifold")
-
-    def reduce_one(v):
+    for v in sorted(links):
         try:
-            return v, reduce_sphere(links[v], cfg)
+            report.links[v] = reduce_sphere(links[v], cfg)
         except BudgetExhausted as exc:
             raise LinkNotCertified(v, str(exc))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for v, seq in pool.map(reduce_one, sorted(links)):
-                report.links[v] = seq
-    else:
-        for v in sorted(links):
-            report.links[v] = reduce_one(v)[1]
     return report
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .canonical import iso_generic
 from .complexes import ComplexError, OrientedComplex, boundary_simplex
@@ -22,22 +21,23 @@ class BudgetExhausted(ComplexError):
     pass
 
 
+# Annealing schedule and objective weights.
+TEMP_INIT = 1.5
+COOLING = 0.995
+REHEAT_AFTER = 60
+WEIGHT_VERTICES = 8
+WEIGHT_FACETS = 1
+
+
 @dataclass
 class ReductionConfig:
     seed: int = 0
     max_steps: int = 3000
     restarts: int = 8
-    temp_init: Fraction = Fraction(3, 2)
-    cooling: Fraction = Fraction(995, 1000)
-    reheat_after: int = 60
-    weight_vertices: int = 8
-    weight_facets: int = 1
 
     def __post_init__(self):
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if not 0 < self.cooling < 1:
-            raise ValueError("cooling factor must lie in (0, 1)")
 
 
 def _is_target(L: OrientedComplex) -> bool:
@@ -46,28 +46,27 @@ def _is_target(L: OrientedComplex) -> bool:
             and iso_generic(L, boundary_simplex(n + 1)) is not None)
 
 
-def _objective(L: OrientedComplex, cfg: ReductionConfig) -> int:
-    return cfg.weight_vertices * len(L.vertices) + cfg.weight_facets * len(L.facets)
+def _objective(L: OrientedComplex) -> int:
+    return WEIGHT_VERTICES * len(L.vertices) + WEIGHT_FACETS * len(L.facets)
 
 
 def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
     rng = random.Random(seed)
     state = L
     moves = []
-    temp = float(cfg.temp_init)
+    temp = TEMP_INIT
     stagnant = 0
-    best = _objective(L, cfg)
+    best = _objective(L)
     fresh = max(L.vertices) + 1
     for _ in range(cfg.max_steps):
         if _is_target(state):
             return moves
         cands = admissible_moves(state)
         scored = []
-        cur = _objective(state, cfg)
         for m in cands:
             dv = 1 if len(m.delta2) == 1 else (-1 if len(m.delta1) == 1 else 0)
             df = len(m.delta1) - len(m.delta2)
-            scored.append((cfg.weight_vertices * dv + cfg.weight_facets * df, m))
+            scored.append((WEIGHT_VERTICES * dv + WEIGHT_FACETS * df, m))
         downhill = [(d, m) for d, m in scored if d < 0]
         if downhill:
             dmin = min(d for d, _ in downhill)
@@ -75,10 +74,10 @@ def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
         else:
             d, pick = scored[rng.randrange(len(scored))]
             if d > 0 and rng.random() >= math.exp(-d / max(temp, 1e-9)):
-                temp *= float(cfg.cooling)
+                temp *= COOLING
                 stagnant += 1
-                if stagnant >= cfg.reheat_after:
-                    temp = float(cfg.temp_init)
+                if stagnant >= REHEAT_AFTER:
+                    temp = TEMP_INIT
                     stagnant = 0
                 continue
         if len(pick.delta2) == 1:
@@ -86,15 +85,15 @@ def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
             fresh += 1
         state = apply_move(state, pick)
         moves.append(pick)
-        temp *= float(cfg.cooling)
-        obj = _objective(state, cfg)
+        temp *= COOLING
+        obj = _objective(state)
         if obj < best:
             best = obj
             stagnant = 0
         else:
             stagnant += 1
-            if stagnant >= cfg.reheat_after:
-                temp = float(cfg.temp_init)
+            if stagnant >= REHEAT_AFTER:
+                temp = TEMP_INIT
                 stagnant = 0
     if _is_target(state):
         return moves

@@ -49,18 +49,22 @@ def _identity_data(L, move):
     return involved
 
 
-def suite_homotopy_identity(pairs: int = 100, seed: int = 0):
-    """d = delta s + s delta on random (skew table, move) pairs."""
+def identity_cases(pairs: int, seed: int):
+    """Seeded random (skew table, 2-sphere, move) triples."""
     rng = random.Random(seed)
     d3 = boundary_simplex(3)
     pool = [random_walk(d3, rng.randrange(3, 12), rng) for _ in range(12)]
-    failures = 0
     for _ in range(pairs):
         L = pool[rng.randrange(len(pool))]
         move = rng.choice(admissible_moves(L))
         f = random_skew_table(_identity_data(L, move) + rng.sample(pool, 3), rng)
-        if prop_identity_residual(f, L, move) != 0:
-            failures += 1
+        yield f, L, move
+
+
+def suite_homotopy_identity(pairs: int = 100, seed: int = 0):
+    """d = delta s + s delta on random (skew table, move) pairs."""
+    failures = sum(1 for f, L, move in identity_cases(pairs, seed)
+                   if prop_identity_residual(f, L, move) != 0)
     return pairs, failures
 
 

@@ -11,7 +11,6 @@ system by fraction-exact elimination.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -29,6 +28,9 @@ class NotACycle(ComplexError):
 
 class NoDecompositionWithinBudget(ComplexError):
     pass
+
+
+CANDIDATE_MAX = 200_000
 
 
 class Eliminator:
@@ -117,8 +119,6 @@ class DecompositionCertificate:
 @dataclass
 class SolverBudget:
     radius_max: int = 2
-    candidate_max: int = 200_000
-    time_max: Optional[float] = None
     seed: int = 0
     kinds: Optional[Iterable[str]] = None
 
@@ -161,14 +161,6 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
     if not gamma:
         return Fraction(0), DecompositionCertificate([], Fraction(0), 0, 0)
 
-    started = time.monotonic()
-
-    def check_clock():
-        if budget.time_max is not None and \
-                time.monotonic() - started > budget.time_max:
-            raise NoDecompositionWithinBudget(
-                f"time budget of {budget.time_max}s exhausted")
-
     rng = random.Random(budget.seed)
     elim = Eliminator()
     cands: list = []
@@ -181,7 +173,6 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
     for radius in range(budget.radius_max + 1):
         batch = []
         for L in frontier:
-            check_clock()
             # _candidates_at(L) already holds the mirror of every chain at
             # the mirror sphere, so an anchor whose mirror was enumerated
             # would add only duplicates.
@@ -195,9 +186,9 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
                     continue
                 seen_chains.add(key)
                 batch.append(cand)
-                if len(cands) + len(batch) > budget.candidate_max:
+                if len(cands) + len(batch) > CANDIDATE_MAX:
                     raise NoDecompositionWithinBudget(
-                        f"more than {budget.candidate_max} candidates")
+                        f"more than {CANDIDATE_MAX} candidates")
         rng.shuffle(batch)
         for cand in batch:
             idx = len(cands)
@@ -217,7 +208,6 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
             break
         nxt: list = []
         for L in frontier:
-            check_clock()
             for m in admissible_moves(L):
                 try:
                     L2 = apply_move(L, m)

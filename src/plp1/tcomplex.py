@@ -29,10 +29,9 @@ class LocalFunction:
     up the mirror negates, and symmetric classes are forced to zero.
     """
 
-    def __init__(self, entries: Iterable = (), degree: int = 3):
-        if degree != 3:
-            raise DimensionMismatch("tables are only supported on 2-spheres")
-        self.degree = degree
+    degree = 3
+
+    def __init__(self, entries: Iterable = ()):
         self.table: Dict[bytes, Fraction] = {}
         for sphere_or_code, value in entries:
             self.set_value(sphere_or_code, value)
@@ -64,12 +63,6 @@ class LocalFunction:
         if mirror < code:
             return -self.table.get(mirror, Fraction(0))
         return self.table.get(code, Fraction(0))
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree,
-                "entries": [{"code": c.hex(),
-                             "value": f"{v.numerator}/{v.denominator}"}
-                            for c, v in sorted(self.table.items())]}
 
 
 def delta_eval(f: LocalFunction, L: OrientedComplex) -> Fraction:
@@ -121,22 +114,6 @@ def is_cycle_fsharp(f: LocalFunction, K: OrientedComplex) -> bool:
     return not chain_boundary(f_sharp(f, K))
 
 
-def s_eval(f: LocalFunction, L1: OrientedComplex, m: Move) -> Fraction:
-    """s(f) on the edge of a move between circles: f of the sphere glued
-    from the two cones and the joined move simplices."""
-    if L1.dim != f.degree - 2:
-        raise DimensionMismatch("move must live two dimensions below f")
-    return f.value(build_L_beta(L1, m))
-
-
-def d_eval(f: LocalFunction, L1: OrientedComplex, m: Move) -> Fraction:
-    """Graph-cochain differential: f(target) - f(source) of a move between
-    2-spheres."""
-    if L1.dim != f.degree - 1:
-        raise DimensionMismatch("move must live on (degree-1)-spheres")
-    return f.value(apply_move(L1, m)) - f.value(L1)
-
-
 def prop_identity_residual(f: LocalFunction, L1: OrientedComplex, m: Move) -> Fraction:
     """Residual of d = delta s + s delta on one move between 2-spheres.
 
@@ -156,7 +133,3 @@ def prop_identity_residual(f: LocalFunction, L1: OrientedComplex, m: Move) -> Fr
     L_beta = build_L_beta(L1, m)
     s_delta_f = delta_eval(f, L_beta)
     return lhs - delta_sf - s_delta_f
-
-
-def prop_identity_holds(f: LocalFunction, L1: OrientedComplex, m: Move) -> bool:
-    return prop_identity_residual(f, L1, m) == 0

@@ -8,9 +8,11 @@ from plp1 import complexes as cx
 from plp1 import fixtures as fx
 from plp1 import gamma2 as g2
 from plp1 import generators as gen
+from plp1 import moves as mv
 from plp1 import pontryagin as pt
 from plp1 import selfcheck as sc
 from plp1 import solver as sv
+from plp1 import tcomplex as tc
 from plp1.reduction import ReductionConfig
 
 from conftest import STACKED6, oriented
@@ -124,19 +126,16 @@ def test_criterion_9_equivariance():
 
 
 def test_criterion_10_negative_control():
-    """Flipping the link-orientation convention must break the homotopy
-    identity suite; guard running as an expected-failure harness."""
-    cx.LINK_SIGN = -1
-    canon._SPHERE_CACHE.clear()
-    try:
-        checked, failures = sc.suite_homotopy_identity(pairs=25, seed=0)
-    except cx.ComplexError:
-        failures = checked = 25  # convention breakage may surface as errors
-    finally:
-        cx.LINK_SIGN = 1
-        canon._SPHERE_CACHE.clear()
-    ok = failures > 0
-    _report(10, f"flipped link convention breaks the identity suite "
-                f"({failures}/{checked} failures observed)", ok)
-    post_checked, post_failures = sc.suite_homotopy_identity(pairs=5, seed=1)
-    assert post_failures == 0  # convention restored
+    """Reversing the glued sphere in the s-delta term must break the
+    homotopy identity on the same pairs the suite checks exactly."""
+    residuals, mutated = [], []
+    for f, L, move in sc.identity_cases(pairs=25, seed=0):
+        r = tc.prop_identity_residual(f, L, move)
+        L_beta = mv.build_L_beta(L, move)
+        residuals.append(r)
+        mutated.append(r + tc.delta_eval(f, L_beta)
+                       - tc.delta_eval(f, L_beta.reverse()))
+    broken = sum(1 for r in mutated if r)
+    ok = all(r == 0 for r in residuals) and broken > 0
+    _report(10, f"reversed glued sphere breaks the identity "
+                f"({broken}/{len(mutated)} nonzero residuals)", ok)

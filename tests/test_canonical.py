@@ -31,8 +31,8 @@ def test_code_relabeling_invariance_property(img):
 
 
 def test_boundary_simplex_is_symmetric():
-    code = canon.code_2sphere(cx.boundary_simplex(3))
-    assert code.bytes == code.mirror_bytes
+    d3 = cx.boundary_simplex(3)
+    assert canon.code_bytes(d3) == canon.mirror_code_bytes(d3)
 
 
 def test_mirror_code_is_code_of_reverse():
@@ -63,7 +63,7 @@ def test_automorphism_counts():
 
 def test_not_a_2sphere_rejected():
     with pytest.raises(canon.NotA2Sphere):
-        canon.code_2sphere(cx.boundary_simplex(4))
+        canon.code_bytes(cx.boundary_simplex(4))
 
 
 def test_complex_from_code_round_trip():

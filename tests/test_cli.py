@@ -12,13 +12,20 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_p1_json(capsys):
-    code, out, _ = run_cli(capsys, "p1", str(fixture_path("cp2_9.facets")),
-                           "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["p1"] == "3"
-    assert payload["cycle_size"] > 0
+def test_p1_json(capsys, tmp_path):
+    """Vertex labels are any integers: shifting cp2_9 to -4..4 keeps p1."""
+    src = fixture_path("cp2_9.facets")
+    shifted = tmp_path / "cp2_9_shifted.facets"
+    lines = [" ".join(str(int(t) - 5) for t in line.split())
+             if line[:1].isdigit() else line
+             for line in src.read_text().splitlines()]
+    shifted.write_text("\n".join(lines) + "\n")
+    for path in (src, shifted):
+        code, out, _ = run_cli(capsys, "p1", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p1"] == "3"
+        assert payload["cycle_size"] > 0
 
 
 def test_p1_reverse_orientation(capsys):
@@ -48,7 +55,7 @@ def test_reduce_and_verify(capsys):
     assert code == 0
     assert json.loads(out)["moves"]
     code, out, _ = run_cli(capsys, "verify", str(fixture_path("cp2_9.facets")),
-                           "--json", "--jobs", "2")
+                           "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] and len(payload["links"]) == 9
@@ -92,9 +99,11 @@ def test_computation_failure_exits_one(capsys, tmp_path):
 
 
 def test_usage_error_exits_two():
-    proc = subprocess.run([sys.executable, "-m", "plp1.cli", "frobnicate"],
-                          capture_output=True)
-    assert proc.returncode == 2
+    facets = str(fixture_path("cp2_9.facets"))
+    for argv in (["frobnicate"], ["verify", facets, "--jobs", "2"]):
+        proc = subprocess.run([sys.executable, "-m", "plp1.cli", *argv],
+                              capture_output=True)
+        assert proc.returncode == 2
 
 
 def test_selfcheck(capsys):

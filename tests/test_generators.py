@@ -157,13 +157,6 @@ def test_value_consistency_on_null_relations(bipyramid, stacked6, octahedron):
     assert violations == []
 
 
-def test_regularity_predicate(octahedron, stacked6):
-    # all stars in the octahedron overlap heavily: a single vertex is regular
-    assert gen.is_regular(octahedron, [1])
-    # the degree-3 configuration on the stacked sphere is not full
-    assert isinstance(gen.is_regular(stacked6, [2, 3, 4]), bool)
-
-
 def test_generator_spec_json():
     s = spec("S6", 2, 2, 2, 2, 2)
     assert s.to_json() == {"kind": "S6", "params": [2, 2, 2, 2, 2]}

@@ -95,7 +95,7 @@ def test_suspended_non_sphere_link_rejected():
     bad = cx.suspension(sxs)
     assert bad.dim == 4
     assert bad.complex.is_closed_pseudomanifold()
-    K = pt.Manifold4Input(bad, "suspension of sphere x circle")
+    K = pt.Manifold4Input(bad)
     cfg = ReductionConfig(seed=0, max_steps=150, restarts=2)
     with pytest.raises(pt.LinkNotCertified):
         pt.verify_4manifold(K, cfg)

@@ -71,8 +71,6 @@ def test_non_sphere_exhausts_budget():
 def test_config_validation():
     with pytest.raises(ValueError):
         red.ReductionConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        red.ReductionConfig(cooling=2)
 
 
 def test_empty_sequence_replays_to_input():
