@@ -149,6 +149,16 @@ class SphereData:
         self.code, self.labelings = _min_code(self.rot)
         self.mirror_code, self.mirror_labelings = _min_code(_mirror_rotation(self.rot))
 
+    def mirrored(self) -> "SphereData":
+        """The data of the reversed sphere, without a new search: its
+        rotation system is the mirror rotation, so ``_min_code`` would
+        return this sphere's mirror code and labelings, and vice versa."""
+        out = SphereData.__new__(SphereData)
+        out.rot = _mirror_rotation(self.rot)
+        out.code, out.labelings = self.mirror_code, self.mirror_labelings
+        out.mirror_code, out.mirror_labelings = self.code, self.labelings
+        return out
+
 
 _SPHERE_CACHE: dict = {}
 
@@ -156,7 +166,8 @@ _SPHERE_CACHE: dict = {}
 def sphere_data(L: OrientedComplex) -> SphereData:
     data = _SPHERE_CACHE.get(L)
     if data is None:
-        data = SphereData(L)
+        rev = _SPHERE_CACHE.get(L.reverse())
+        data = SphereData(L) if rev is None else rev.mirrored()
         _SPHERE_CACHE[L] = data
     return data
 

@@ -112,6 +112,20 @@ def cmd_selfcheck(args) -> int:
     return 0 if ok else 1
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plp1",
@@ -125,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
 
     def reduction_flags(p):
-        p.add_argument("--max-steps", type=int, default=3000)
-        p.add_argument("--restarts", type=int, default=8)
+        p.add_argument("--max-steps", type=_int_at_least(1), default=3000)
+        p.add_argument("--restarts", type=_int_at_least(1), default=8)
 
     p = sub.add_parser("verify", help="certify all vertex links as 3-spheres")
     common(p)
@@ -141,14 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("p1", help="first Pontryagin number of a 4-manifold")
     common(p)
     reduction_flags(p)
-    p.add_argument("--radius-max", type=int, default=2)
+    p.add_argument("--radius-max", type=_int_at_least(0), default=2)
     p.add_argument("--certificate", action="store_true")
     p.add_argument("--reverse-orientation", action="store_true")
     p.set_defaults(fn=cmd_p1)
 
     p = sub.add_parser("c0-cycle", help="evaluate the pricing class on a chain file")
     common(p)
-    p.add_argument("--radius-max", type=int, default=2)
+    p.add_argument("--radius-max", type=_int_at_least(0), default=2)
     p.add_argument("--certificate", action="store_true")
     p.set_defaults(fn=cmd_c0_cycle)
 

@@ -45,6 +45,23 @@ class Move:
         return d
 
 
+def _cofactor(d1: Simplex, star: Iterable[Simplex], n: int, present) -> Simplex:
+    """The cofactor d2 of d1 in an n-sphere, given the facets ``star`` that
+    contain d1: the link of d1 must be the boundary of the simplex d2 and
+    ``present(d2)`` must be false.  Raises MoveNotAdmissible otherwise."""
+    lk = [tuple(v for v in f if v not in d1) for f in star]
+    if not lk:
+        raise MoveNotAdmissible(f"{d1} not in complex")
+    d2 = tuple(sorted({v for f in lk for v in f}))
+    # the boundary of the simplex d2 has one facet per vertex, n+2-k of them
+    if (len(lk) != n + 2 - len(d1)
+            or set(lk) != set(itertools.combinations(d2, len(d2) - 1))):
+        raise MoveNotAdmissible(f"link of {d1} is not a simplex boundary")
+    if present(d2):
+        raise MoveNotAdmissible(f"cofactor {d2} already a simplex")
+    return d2
+
+
 def make_move(L: OrientedComplex, delta1: Iterable[int],
               new_vertex: Optional[int] = None) -> Move:
     """Build the move associated with delta1, deriving delta2; raises
@@ -58,17 +75,9 @@ def make_move(L: OrientedComplex, delta1: Iterable[int],
         if nv in L.vertices:
             raise MoveNotAdmissible(f"vertex {nv} already present")
         return Move(d1, (nv,))
-    lk = [tuple(v for v in f if v not in d1)
-          for f in L.facets if set(d1) <= set(f)]
-    if not lk:
-        raise MoveNotAdmissible(f"{d1} not in complex")
-    d2 = tuple(sorted({v for f in lk for v in f}))
-    want = set(itertools.combinations(d2, len(d2) - 1))
-    if len(d2) != n + 2 - len(d1) or set(lk) != want:
-        raise MoveNotAdmissible(f"link of {d1} is not a simplex boundary")
-    if L.complex.has_simplex(d2):
-        raise MoveNotAdmissible(f"cofactor {d2} already a simplex")
-    return Move(d1, d2)
+    s1 = set(d1)
+    star = [f for f in L.facets if s1 <= set(f)]
+    return Move(d1, _cofactor(d1, star, n, L.complex.has_simplex))
 
 
 def is_admissible(L: OrientedComplex, m: Move) -> bool:
@@ -82,21 +91,25 @@ def is_admissible(L: OrientedComplex, m: Move) -> bool:
 
 def admissible_moves(L: OrientedComplex) -> list:
     """All admissible moves, facet subdivisions included (with the fresh
-    vertex max+1), in a deterministic order."""
-    out = []
+    vertex max+1), in a deterministic order: faces in order of first
+    appearance over the sorted facets, smaller faces of a facet first."""
     n = L.dim
     nv = max(L.vertices) + 1
-    seen = set()
+    # every face, facets included, -> the facets containing it
+    stars: dict = {}
     for f in sorted(L.facets):
         for k in range(1, n + 2):
             for d1 in itertools.combinations(f, k):
-                if d1 in seen:
-                    continue
-                seen.add(d1)
-                try:
-                    out.append(make_move(L, d1, new_vertex=nv if k == n + 1 else None))
-                except MoveNotAdmissible:
-                    pass
+                stars.setdefault(d1, []).append(f)
+    out = []
+    for d1, star in stars.items():
+        if len(d1) == n + 1:
+            out.append(Move(d1, (nv,)))
+            continue
+        try:
+            out.append(Move(d1, _cofactor(d1, star, n, stars.__contains__)))
+        except MoveNotAdmissible:
+            pass
     return out
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from plp1 import canonical as canon
 from plp1 import complexes as cx
-from plp1.fixtures import link_L
+from plp1.fixtures import cp2_9, link_L
 
 from conftest import OCTAHEDRON, STACKED6, oriented, relabeled
 
@@ -40,6 +40,18 @@ def test_mirror_code_is_code_of_reverse():
         assert canon.mirror_code_bytes(L) == canon.code_bytes(L.reverse())
         assert canon.code_bytes(L.reverse()) != b"" and \
             canon.mirror_code_bytes(L.reverse()) == canon.code_bytes(L)
+    # A chiral edge link of cp2_9, relabelled so that neither orientation is
+    # cached yet: the reverse's data is then derived from the cached mirror.
+    L = cx.oriented_link_simplex(cp2_9(), (1, 3))
+    L = relabeled(L, {v: v + 1000 for v in L.vertices})
+    assert L not in canon._SPHERE_CACHE
+    assert L.reverse() not in canon._SPHERE_CACHE
+    data = canon.sphere_data(L)
+    assert data.code != data.mirror_code
+    mirrored = canon.sphere_data(L.reverse())
+    fresh = canon.SphereData(L.reverse())
+    for name in canon.SphereData.__slots__:
+        assert getattr(mirrored, name) == getattr(fresh, name), name
 
 
 def test_distinct_spheres_have_distinct_codes():

@@ -100,7 +100,10 @@ def test_computation_failure_exits_one(capsys, tmp_path):
 
 def test_usage_error_exits_two():
     facets = str(fixture_path("cp2_9.facets"))
-    for argv in (["frobnicate"], ["verify", facets, "--jobs", "2"]):
+    for argv in (["frobnicate"], ["verify", facets, "--jobs", "2"],
+                 ["verify", facets, "--max-steps", "0"],
+                 ["reduce", facets, "--restarts", "0"],
+                 ["p1", facets, "--radius-max", "-1"]):
         proc = subprocess.run([sys.executable, "-m", "plp1.cli", *argv],
                               capture_output=True)
         assert proc.returncode == 2

@@ -1,9 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from plp1 import canonical as canon
 from plp1 import complexes as cx
 from plp1 import moves as mv
-from plp1.fixtures import link_L, sequence_9
+from plp1.fixtures import cp2_9, link_L, sequence_9
 
 from conftest import BIPYRAMID, OCTAHEDRON, oriented
 
@@ -12,6 +15,36 @@ def test_admissible_move_counts():
     assert len(mv.admissible_moves(cx.boundary_simplex(3))) == 4
     assert len(mv.admissible_moves(oriented(OCTAHEDRON))) == 20
     assert len(mv.admissible_moves(cx.boundary_simplex(4))) == 5
+
+
+def _admissible_by_face(L):
+    """Reference scan: make_move on every face of every sorted facet, each
+    face once, in order of first appearance."""
+    n = L.dim
+    nv = max(L.vertices) + 1
+    out, seen = [], set()
+    for f in sorted(L.facets):
+        for k in range(1, n + 2):
+            for d1 in itertools.combinations(f, k):
+                if d1 in seen:
+                    continue
+                seen.add(d1)
+                try:
+                    out.append(mv.make_move(L, d1, new_vertex=nv if k == n + 1 else None))
+                except mv.MoveNotAdmissible:
+                    pass
+    return out
+
+
+def test_indexed_scan_matches_per_face_scan(octahedron, stacked6):
+    rng = random.Random(7)
+    K = cp2_9()
+    starts = [octahedron, stacked6] + [cx.oriented_link(K, v) for v in K.vertices]
+    for L in starts:
+        for _ in range(8):
+            moves = mv.admissible_moves(L)
+            assert moves == _admissible_by_face(L)
+            L = mv.apply_move(L, rng.choice(moves))
 
 
 def test_subdivision_counts_and_euler():
@@ -138,8 +171,6 @@ def _random_walk_signs_agree(L, steps, rng):
 
 
 def test_local_signs_match_propagation(octahedron):
-    import random
-    from plp1.fixtures import cp2_9
     rng = random.Random(5)
     _random_walk_signs_agree(octahedron, 30, rng)
     K = cp2_9()
