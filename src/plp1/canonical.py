@@ -32,9 +32,6 @@ class Isomorphism:
     def __call__(self, v):
         return self.vertex_map[v]
 
-    def apply_simplex(self, s: Simplex) -> Simplex:
-        return tuple(sorted(self.vertex_map[v] for v in s))
-
     def __repr__(self):
         kind = "iso" if self.orientation_preserving else "anti-iso"
         return f"Isomorphism({kind}, {self.vertex_map})"
@@ -75,21 +72,22 @@ def _mirror_rotation(rot: dict) -> dict:
 
 
 def _code_from_root(rot: dict, u, w, best=None):
-    """Breadth-first code of the map rooted at the directed edge (u, w).
+    """Breadth-first code of the map rooted at the directed edge (u, w), as
+    one block per vertex in visiting order: its degree, then its
+    neighbours' labels in rotation order.
 
     With ``best`` given, the traversal aborts (returning (None, None)) as
-    soon as the code-in-progress exceeds it lexicographically; all root
-    codes of one map have equal length, so positions compare directly.
+    soon as a block exceeds the block of ``best`` at its position.  A block
+    opens with its length, so comparing block by block is the lexicographic
+    order of the flat codes; a connected map has one block per vertex from
+    every root.
     """
     label = {u: 0}
     order = [u]
     ref = {u: w}
-    code = []
+    blocks = []
     comparing = best is not None
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:
         r = rot[v]
         start = ref[v]
         vals = [len(r)]
@@ -103,36 +101,44 @@ def _code_from_root(rot: dict, u, w, best=None):
             a = r[a]
             if a == start:
                 break
-        for x in vals:
-            if comparing:
-                b = best[len(code)]
-                if x > b:
-                    return None, None
-                if x < b:
-                    comparing = False
-            code.append(x)
-    return tuple(code), label
+        block = tuple(vals)
+        if comparing:
+            b = best[len(blocks)]
+            if block > b:
+                return None, None
+            comparing = block == b
+        blocks.append(block)
+    return blocks, label
 
 
 def _min_code(rot: dict):
-    """Lexicographic minimum over rooted codes; only minimum-degree roots
-    can achieve it since a code begins with the root's degree."""
-    min_deg = min(len(r) for r in rot.values())
+    """Lexicographic minimum over rooted codes.  A code rooted at (u, w)
+    opens with the block (deg u, 1, ..., deg u) and then a block opening
+    with deg w, so only roots of least deg u and, among those, of least
+    deg w can achieve it.  Raises NotA2Sphere when the first traversal
+    misses a vertex."""
+    deg = {v: len(r) for v, r in rot.items()}
+    min_deg = min(deg.values())
+    roots = [(u, w) for u in sorted(rot) if deg[u] == min_deg
+             for w in sorted(rot[u])]
+    second = min(deg[w] for _, w in roots)
     best = None
     labelings = []
-    for u in sorted(rot):
-        if len(rot[u]) != min_deg:
+    for u, w in roots:
+        if deg[w] != second:
             continue
-        for w in sorted(rot[u]):
-            code, label = _code_from_root(rot, u, w, best)
-            if code is None:
-                continue
-            if best is None or code < best:
-                best = code
-                labelings = [label]
-            elif code == best:
-                labelings.append(label)
-    return best, labelings
+        blocks, label = _code_from_root(rot, u, w, best)
+        if blocks is None:
+            continue
+        if best is None:
+            if len(label) != len(rot):
+                raise NotA2Sphere("not connected")
+            best, labelings = blocks, [label]
+        elif blocks < best:
+            best, labelings = blocks, [label]
+        elif blocks == best:
+            labelings.append(label)
+    return tuple(x for block in best for x in block), labelings
 
 
 class SphereData:
@@ -141,12 +147,14 @@ class SphereData:
     __slots__ = ("code", "labelings", "mirror_code", "mirror_labelings", "rot")
 
     def __init__(self, L: OrientedComplex):
+        # rotation_system has checked that every vertex link is one cycle,
+        # so each edge lies in two facets and V - E + F is exact with
+        # E = (sum of degrees) / 2; _min_code checks connectivity.
         self.rot = rotation_system(L)
-        if not SimplicialComplex(L.facets).is_connected():
-            raise NotA2Sphere("not connected")
-        if L.complex.euler_characteristic() != 2:
-            raise NotA2Sphere("Euler characteristic != 2")
         self.code, self.labelings = _min_code(self.rot)
+        edges = sum(len(r) for r in self.rot.values()) // 2
+        if len(self.rot) - edges + len(L.facets) != 2:
+            raise NotA2Sphere("Euler characteristic != 2")
         self.mirror_code, self.mirror_labelings = _min_code(_mirror_rotation(self.rot))
 
     def mirrored(self) -> "SphereData":
@@ -194,22 +202,6 @@ def mirror_orbit(L: OrientedComplex, s: Simplex) -> tuple:
     """Orbit descriptor of a simplex on the orientation-reversed sphere."""
     data = sphere_data(L)
     return min(tuple(sorted(lab[v] for v in s)) for lab in data.mirror_labelings)
-
-
-def automorphisms_2sphere(L: OrientedComplex):
-    """All orientation-preserving automorphisms, plus orientation-reversing
-    self-maps when the sphere is symmetric."""
-    data = sphere_data(L)
-    base = data.labelings[0]
-    inv_by_label = [{lab[v]: v for v in lab} for lab in data.labelings]
-    autos = [Isomorphism({v: inv[base[v]] for v in base}, True)
-             for inv in inv_by_label]
-    reversing = []
-    if data.code == data.mirror_code:
-        for lab in data.mirror_labelings:
-            inv = {lab[v]: v for v in lab}
-            reversing.append(Isomorphism({v: inv[base[v]] for v in base}, False))
-    return autos, reversing
 
 
 def is_symmetric_2sphere(L: OrientedComplex) -> bool:
@@ -359,9 +351,3 @@ def _iso_search(order, cands, adj_a, adj_b, A, B, orientation):
     rec(0)
     return result[0] if result else None
 
-
-def anti_automorphism_exists(L: OrientedComplex) -> bool:
-    """Whether L admits an orientation-reversing self-isomorphism."""
-    if L.dim == 2:
-        return is_symmetric_2sphere(L)
-    return iso_generic(L, L.reverse(), orientation=True) is not None

@@ -289,7 +289,24 @@ def orient(K: SimplicialComplex, first_facet_sign: int = 1) -> OrientedComplex:
 
 def oriented_link(L: OrientedComplex, v: int) -> OrientedComplex:
     """Link of a vertex with the induced orientation."""
-    return oriented_link_simplex(L, (v,))
+    return oriented_links(L, (v,))[v]
+
+
+def oriented_links(L: OrientedComplex, vertices: Iterable[int]) -> dict:
+    """Links of several vertices with the induced orientation, read in one
+    pass over the facets: a sorted facet with v at index i induces its other
+    vertices, in order, with sign * (-1)**i in the link of v."""
+    links: dict = {v: {} for v in vertices}
+    for f, sign in L.signs.items():
+        for i, v in enumerate(f):
+            lk = links.get(v)
+            if lk is not None:
+                lk[f[:i] + f[i + 1:]] = -sign if i % 2 else sign
+    for v, facets in links.items():
+        if not facets or () in facets:
+            raise SimplexNotInComplex(f"{(v,)} has no proper link")
+    return {v: OrientedComplex(SimplicialComplex(facets), facets)
+            for v, facets in links.items()}
 
 
 def oriented_link_simplex(L: OrientedComplex, s: Simplex) -> OrientedComplex:

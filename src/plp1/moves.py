@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from . import canonical
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
                         Simplex, SimplicialComplex, extend_orientation,
-                        oriented_link, subsimplex_parity)
+                        oriented_link, oriented_links, subsimplex_parity)
 
 
 class MoveNotAdmissible(ComplexError):
@@ -80,15 +80,6 @@ def make_move(L: OrientedComplex, delta1: Iterable[int],
     return Move(d1, _cofactor(d1, star, n, L.complex.has_simplex))
 
 
-def is_admissible(L: OrientedComplex, m: Move) -> bool:
-    try:
-        ref = make_move(L, m.delta1,
-                        new_vertex=m.delta2[0] if len(m.delta2) == 1 else None)
-    except MoveNotAdmissible:
-        return False
-    return ref == m
-
-
 def admissible_moves(L: OrientedComplex) -> list:
     """All admissible moves, facet subdivisions included (with the fresh
     vertex max+1), in a deterministic order: faces in order of first
@@ -121,20 +112,38 @@ def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
     with the removed facet F = d1 + (d2 - b) for every b in d2, and takes
     over F's neighbour across it, so sign(G) = sign(F) * (-1)**(i + j) with
     a at index i of F and b at index j of G.  The choices of b must agree.
+
+    The move must be the one ``make_move`` builds for its delta1 (sorted,
+    with this delta2); the same facet pass that drops the star of delta1
+    checks that, so admissibility costs no extra scan.
     """
-    if not is_admissible(L, m):
-        raise MoveNotAdmissible(f"{m} not admissible")
     d1, d2 = m.delta1, m.delta2
-    s1 = set(d1)
-    signs = {f: s for f, s in L.signs.items() if not s1.issubset(f)}
+    s1, s2 = set(d1), set(d2)
+    signs, star = {}, []
+    present = False
+    for f, s in L.signs.items():
+        if s1.issubset(f):
+            star.append(f)
+        else:
+            signs[f] = s
+        present = present or s2.issubset(f)
+    if len(d1) == L.dim + 1:
+        admissible = d1 in L.signs and len(d2) == 1 and not present
+    else:
+        # ``present`` is about m.delta2; a derived cofactor that differs
+        # from it is rejected either way
+        admissible = (d1 == tuple(sorted(d1))
+                      and _cofactor(d1, star, L.dim, lambda _: present) == d2)
+    if not admissible:
+        raise MoveNotAdmissible(f"{m} not admissible")
     if not signs:
         raise MoveNotAdmissible("move would replace the whole sphere")
-    star = s1 | set(d2)
+    closed = s1 | s2
     for a in d1:
-        g = tuple(sorted(star - {a}))
+        g = tuple(sorted(closed - {a}))
         want = None
         for b in d2:
-            f = tuple(sorted(star - {b}))
+            f = tuple(sorted(closed - {b}))
             s = L.signs[f] * (-1) ** (f.index(a) + g.index(b))
             if want is None:
                 want = s
@@ -144,13 +153,16 @@ def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
     return OrientedComplex(SimplicialComplex(signs), signs)
 
 
-def is_essential(L: OrientedComplex, m: Move) -> bool:
+def is_essential(L: OrientedComplex, m: Move,
+                 L2: Optional[OrientedComplex] = None) -> bool:
     """A move from L to itself is inessential when an automorphism of L
     carries its simplex onto the inverse move's; 1-sphere moves always
-    change the vertex count and so are always essential."""
+    change the vertex count and so are always essential.  ``L2``, when
+    given, is ``apply_move(L, m)``."""
     if L.dim == 1:
         return True
-    L2 = apply_move(L, m)
+    if L2 is None:
+        L2 = apply_move(L, m)
     if canonical.code_bytes(L) != canonical.code_bytes(L2):
         return True
     return (canonical.canonical_orbit(L, m.delta1)
@@ -166,27 +178,33 @@ class InducedMoveRecord:
     link_after: OrientedComplex
 
 
-def induced_vertex_moves(K: OrientedComplex, m: Move) -> list:
+def induced_vertex_moves(K: OrientedComplex, m: Move,
+                         K2: Optional[OrientedComplex] = None) -> list:
     """Per-vertex induced moves of a bistellar move, validated by replay.
 
     Every vertex of the closed support present both before and after is
     diffed; the created / destroyed vertex is excluded by definition.
+    ``K2``, when given, is ``apply_move(K, m)``.
     """
-    K2 = apply_move(K, m)
+    if K2 is None:
+        K2 = apply_move(K, m)
     d1, d2 = set(m.delta1), set(m.delta2)
     excluded = set()
     if len(m.delta2) == 1:
         excluded.add(m.delta2[0])
     if len(m.delta1) == 1:
         excluded.add(m.delta1[0])
+    support = sorted((d1 | d2) - excluded)
+    links_before = oriented_links(K, support)
+    links_after = oriented_links(K2, support)
     records = []
-    for v in sorted((d1 | d2) - excluded):
+    for v in support:
         if v in d1:
             ind = Move(tuple(sorted(d1 - {v})), m.delta2)
         else:
             ind = Move(m.delta1, tuple(sorted(d2 - {v})))
-        before = oriented_link(K, v)
-        after = oriented_link(K2, v)
+        before = links_before[v]
+        after = links_after[v]
         if before == after:
             continue
         if not ind.delta1:
@@ -194,7 +212,8 @@ def induced_vertex_moves(K: OrientedComplex, m: Move) -> list:
         if apply_move(before, ind) != after:
             raise InducedDiffNotABistellarMove(
                 f"link diff at vertex {v} is not the expected move")
-        records.append(InducedMoveRecord(v, ind, is_essential(before, ind),
+        records.append(InducedMoveRecord(v, ind,
+                                         is_essential(before, ind, L2=after),
                                          before, after))
     return records
 

@@ -90,8 +90,8 @@ def assemble_p1_cycle(K: Manifold4Input,
         if seq.initial != oriented_link(oc, v):
             raise ComplexError(f"reduction for vertex {v} starts elsewhere")
         rev = seq.reversed()
-        for state, m, _ in rev.replay():
-            for rec in induced_vertex_moves(state, m):
+        for state, m, nxt in rev.replay():
+            for rec in induced_vertex_moves(state, m, nxt):
                 if not rec.essential:
                     continue
                 key, sign = edge_of_move(rec.link_before, rec.induced,

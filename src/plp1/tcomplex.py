@@ -127,7 +127,7 @@ def prop_identity_residual(f: LocalFunction, L1: OrientedComplex, m: Move) -> Fr
     L2 = apply_move(L1, m)
     lhs = f.value(L2) - f.value(L1)
     delta_sf = Fraction(0)
-    for rec in induced_vertex_moves(L1, m):
+    for rec in induced_vertex_moves(L1, m, L2):
         if rec.essential:
             delta_sf += f.value(build_L_beta(rec.link_before, rec.induced))
     L_beta = build_L_beta(L1, m)

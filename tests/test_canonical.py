@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from plp1 import canonical as canon
 from plp1 import complexes as cx
+from plp1 import moves as mv
 from plp1.fixtures import cp2_9, link_L
 
 from conftest import OCTAHEDRON, STACKED6, oriented, relabeled
@@ -62,20 +63,60 @@ def test_distinct_spheres_have_distinct_codes():
 
 
 def test_automorphism_counts():
-    autos, reversing = canon.automorphisms_2sphere(cx.boundary_simplex(3))
-    assert len(autos) == 12 and len(reversing) == 12
-    autos, reversing = canon.automorphisms_2sphere(oriented(OCTAHEDRON))
-    assert len(autos) == 24 and len(reversing) == 24
-    autos, _ = canon.automorphisms_2sphere(oriented(STACKED6))
-    assert len(autos) >= 1
+    """One code-minimising labeling per automorphism: the root pruning of
+    the code search must keep all of them."""
+    for L, count in ((cx.boundary_simplex(3), 12), (oriented(OCTAHEDRON), 24)):
+        data = canon.sphere_data(L)
+        assert len(data.labelings) == count
+        assert len(data.mirror_labelings) == count
+    assert len(canon.sphere_data(oriented(STACKED6)).labelings) >= 1
+    # labeling k composed with the inverse of labeling 0 is an automorphism,
+    # orientation-reversing for the mirror labelings
     octa = oriented(OCTAHEDRON)
-    for a in canon.automorphisms_2sphere(octa)[0]:
-        assert {a.apply_simplex(f) for f in octa.facets} == set(octa.facets)
+    data = canon.sphere_data(octa)
+    base = data.labelings[0]
+    for labs, image in ((data.labelings, octa), (data.mirror_labelings, octa.reverse())):
+        for lab in labs:
+            inv = {lab[v]: v for v in lab}
+            assert relabeled(octa, {v: inv[base[v]] for v in base}) == image
+
+
+def test_code_is_least_over_all_roots(stacked6):
+    """The pruned search finds the least code over every directed edge and
+    every labeling that achieves it, along a seeded random walk."""
+    rng = random.Random(3)
+    L = stacked6
+    for _ in range(8):
+        data = canon.sphere_data(L)
+        codes: dict = {}
+        for u in data.rot:
+            for w in data.rot[u]:
+                blocks, label = canon._code_from_root(data.rot, u, w)
+                codes.setdefault(sum(blocks, ()), []).append(label)
+        least = min(codes)
+        assert data.code == least
+        assert len(data.labelings) == len(codes[least])
+        assert all(lab in codes[least] for lab in data.labelings)
+        L = mv.apply_move(L, rng.choice(mv.admissible_moves(L)))
+
+
+def _disjoint(A, B):
+    signs = {**A.signs, **B.signs}
+    return cx.OrientedComplex(cx.SimplicialComplex(signs), signs)
 
 
 def test_not_a_2sphere_rejected():
-    with pytest.raises(canon.NotA2Sphere):
-        canon.code_bytes(cx.boundary_simplex(4))
+    d3 = cx.boundary_simplex(3)
+    torus = oriented([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+                     + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+    assert torus.complex.euler_characteristic() == 0
+    shift = {v: v + 10 for v in range(7)}
+    two_spheres = _disjoint(d3, relabeled(d3, shift))
+    sphere_and_torus = _disjoint(d3, relabeled(torus, shift))
+    assert sphere_and_torus.complex.euler_characteristic() == 2
+    for L in (cx.boundary_simplex(4), two_spheres, torus, sphere_and_torus):
+        with pytest.raises(canon.NotA2Sphere):
+            canon.code_bytes(L)
 
 
 def test_complex_from_code_round_trip():
@@ -90,7 +131,7 @@ def test_iso_generic_relabelings_of_d4():
     other = relabeled(d4, perm)
     iso = canon.iso_generic(d4, other)
     assert iso is not None
-    mapped = {iso.apply_simplex(f) for f in d4.facets}
+    mapped = {tuple(sorted(iso(v) for v in f)) for f in d4.facets}
     assert mapped == set(other.facets)
 
 

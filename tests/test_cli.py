@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import plp1
 from plp1.cli import main
 from plp1.fixtures import fixture_path
 
@@ -100,12 +103,16 @@ def test_computation_failure_exits_one(capsys, tmp_path):
 
 def test_usage_error_exits_two():
     facets = str(fixture_path("cp2_9.facets"))
+    # the child imports the same plp1 as this test, installed or not
+    package_root = str(Path(plp1.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     for argv in (["frobnicate"], ["verify", facets, "--jobs", "2"],
                  ["verify", facets, "--max-steps", "0"],
                  ["reduce", facets, "--restarts", "0"],
                  ["p1", facets, "--radius-max", "-1"]):
         proc = subprocess.run([sys.executable, "-m", "plp1.cli", *argv],
-                              capture_output=True)
+                              capture_output=True, env=env)
         assert proc.returncode == 2
 
 

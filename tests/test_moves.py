@@ -47,6 +47,62 @@ def test_indexed_scan_matches_per_face_scan(octahedron, stacked6):
             L = mv.apply_move(L, rng.choice(moves))
 
 
+def _candidate_moves(L):
+    """Every face of L with the vertex set of its link as cofactor, and every
+    facet with a fresh and with an existing vertex."""
+    nv = max(L.vertices) + 1
+    out = set()
+    for f in L.facets:
+        out.add(mv.Move(f, (nv,)))
+        out.add(mv.Move(f, (min(L.vertices),)))
+        for k in range(1, L.dim + 1):
+            for d1 in itertools.combinations(f, k):
+                lk = {v for g in L.facets if set(d1) <= set(g) for v in g}
+                out.add(mv.Move(d1, tuple(sorted(lk - set(d1)))))
+    return out
+
+
+def test_apply_move_accepts_exactly_make_move(octahedron, stacked6):
+    rng = random.Random(11)
+    K = cp2_9()
+    starts = [octahedron, stacked6] + [cx.oriented_link(K, v) for v in (1, 5, 9)]
+    for L in starts:
+        for _ in range(6):
+            reference = _admissible_by_face(L)
+            candidates = _candidate_moves(L)
+            assert set(reference) <= candidates
+            for m in candidates:
+                try:
+                    mv.apply_move(L, m)
+                    accepted = True
+                except mv.MoveNotAdmissible:
+                    accepted = False
+                assert accepted == (m in reference), m
+            L = mv.apply_move(L, rng.choice(reference))
+
+
+def test_apply_move_rejects_hand_built_moves(octahedron):
+    assert mv.make_move(octahedron, (1, 2)) == mv.Move((1, 2), (3, 4))
+    mv.apply_move(octahedron, mv.Move((1, 2, 3), (7,)))
+    for bad in (mv.Move((1, 2), (3, 5)),      # wrong cofactor
+                mv.Move((1, 2), (4, 3)),      # unsorted cofactor
+                mv.Move((1, 2, 3), (6,)),     # facet move onto a vertex
+                mv.Move((2, 1), (3, 4)),      # unsorted delta1
+                mv.Move((2, 1, 3), (7,))):    # unsorted facet
+        with pytest.raises(mv.MoveNotAdmissible):
+            mv.apply_move(octahedron, bad)
+
+
+def test_links_read_together_match_one_by_one(octahedron):
+    K = cp2_9()
+    for L in (K, K.reverse(), octahedron, cx.oriented_link(K, 1)):
+        links = cx.oriented_links(L, L.vertices)
+        assert list(links) == list(L.vertices)
+        for v in L.vertices:
+            assert links[v] == cx.oriented_link(L, v)
+            assert links[v] == cx.oriented_link_simplex(L, (v,))
+
+
 def test_subdivision_counts_and_euler():
     d3 = cx.boundary_simplex(3)
     m = mv.make_move(d3, (0, 1, 2))

@@ -74,7 +74,8 @@ def test_sequence_independence_with_fixture_reduction():
         lk = cx.oriented_link(cp2, v)
         iso = canon.iso_generic(linkL, lk)
         assert iso is not None
-        moves = [Move(iso.apply_simplex(m.delta1), iso.apply_simplex(m.delta2))
+        moves = [Move(tuple(sorted(map(iso, m.delta1))),
+                      tuple(sorted(map(iso, m.delta2))))
                  for m in seq9.moves]
         reductions[v] = MoveSequence(lk, moves)
     value, *_ = pt.pontryagin_number(K, reductions=reductions)
