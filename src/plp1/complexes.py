@@ -125,9 +125,6 @@ class SimplicialComplex:
                 deg[r] = deg.get(r, 0) + 1
         return deg
 
-    def is_closed_pseudomanifold(self) -> bool:
-        return all(d == 2 for d in self.ridge_degrees().values()) and self.is_connected()
-
     def is_connected(self) -> bool:
         """Connectivity of the facet-ridge adjacency graph."""
         ridge_map: dict = {}

@@ -62,6 +62,11 @@ def edge_of_move(L: OrientedComplex, m: Move,
                  L2: Optional[OrientedComplex] = None):
     """(EdgeKey, sign) of an essential move, or None when inessential.
 
+    This is the one rule for essential moves.  A move is inessential when
+    its two endpoints agree: the spheres before and after have the same
+    code, and the move's simplex and the inverse move's simplex the same
+    orbit (equal code and orbit force equal mirror data).
+
     The sign is +1 when the move's direction is the stored canonical one;
     the inverse move returns the same key with the opposite sign.
     """
@@ -227,7 +232,7 @@ def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move]):
     """Signed sum of the edges of a closed move loop, inessential steps
     dropped; raises LoopNotClosed unless the replay returns to a sphere
     orientation-preservingly isomorphic to the start."""
-    chain = Chain1()
+    edges = []
     registry = {}
     final = L0
     for state, m, final in MoveSequence(L0, moves).replay():
@@ -235,7 +240,7 @@ def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move]):
         registry[canonical.code_bytes(final)] = final
         e = edge_of_move(state, m, L2=final)
         if e is not None:
-            chain = chain + single_edge(*e)
+            edges.append(e)
     if canonical.code_bytes(final) != canonical.code_bytes(L0):
         raise LoopNotClosed("replay does not return to the initial sphere")
-    return chain, registry
+    return Chain1(edges), registry

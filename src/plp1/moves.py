@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import canonical
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
                         Simplex, SimplicialComplex, extend_orientation,
                         oriented_link, oriented_links, subsimplex_parity)
@@ -49,13 +48,14 @@ def _cofactor(d1: Simplex, star: Iterable[Simplex], n: int, present) -> Simplex:
     """The cofactor d2 of d1 in an n-sphere, given the facets ``star`` that
     contain d1: the link of d1 must be the boundary of the simplex d2 and
     ``present(d2)`` must be false.  Raises MoveNotAdmissible otherwise."""
-    lk = [tuple(v for v in f if v not in d1) for f in star]
-    if not lk:
+    if not star:
         raise MoveNotAdmissible(f"{d1} not in complex")
-    d2 = tuple(sorted({v for f in lk for v in f}))
     # the boundary of the simplex d2 has one facet per vertex, n+2-k of them
-    if (len(lk) != n + 2 - len(d1)
-            or set(lk) != set(itertools.combinations(d2, len(d2) - 1))):
+    if len(star) != n + 2 - len(d1):
+        raise MoveNotAdmissible(f"link of {d1} is not a simplex boundary")
+    lk = [tuple(v for v in f if v not in d1) for f in star]
+    d2 = tuple(sorted({v for f in lk for v in f}))
+    if set(lk) != set(itertools.combinations(d2, len(d2) - 1)):
         raise MoveNotAdmissible(f"link of {d1} is not a simplex boundary")
     if present(d2):
         raise MoveNotAdmissible(f"cofactor {d2} already a simplex")
@@ -153,27 +153,10 @@ def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
     return OrientedComplex(SimplicialComplex(signs), signs)
 
 
-def is_essential(L: OrientedComplex, m: Move,
-                 L2: Optional[OrientedComplex] = None) -> bool:
-    """A move from L to itself is inessential when an automorphism of L
-    carries its simplex onto the inverse move's; 1-sphere moves always
-    change the vertex count and so are always essential.  ``L2``, when
-    given, is ``apply_move(L, m)``."""
-    if L.dim == 1:
-        return True
-    if L2 is None:
-        L2 = apply_move(L, m)
-    if canonical.code_bytes(L) != canonical.code_bytes(L2):
-        return True
-    return (canonical.canonical_orbit(L, m.delta1)
-            != canonical.canonical_orbit(L2, m.delta2))
-
-
 @dataclass(frozen=True)
 class InducedMoveRecord:
     vertex: int
     induced: Move
-    essential: bool
     link_before: OrientedComplex
     link_after: OrientedComplex
 
@@ -212,9 +195,7 @@ def induced_vertex_moves(K: OrientedComplex, m: Move,
         if apply_move(before, ind) != after:
             raise InducedDiffNotABistellarMove(
                 f"link diff at vertex {v} is not the expected move")
-        records.append(InducedMoveRecord(v, ind,
-                                         is_essential(before, ind, L2=after),
-                                         before, after))
+        records.append(InducedMoveRecord(v, ind, before, after))
     return records
 
 
@@ -264,11 +245,6 @@ class MoveSequence:
         for _, _, state in self.replay():
             pass
         return state
-
-    def reversed(self) -> "MoveSequence":
-        """The inverse sequence, from the final complex back to the initial."""
-        rev = [m.inverse() for m in reversed(self.moves)]
-        return MoveSequence(self.final(), rev)
 
     def to_json(self) -> str:
         return json.dumps([m.to_json() for m in self.moves])

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from . import canonical
-from .complexes import ComplexError, OrientedComplex, oriented_link
-from .gamma2 import Chain1, is_cycle, mirror_chain, edge_of_move, single_edge
+from .complexes import (ComplexError, OrientedComplex, oriented_link,
+                        require_closed)
+from .gamma2 import Chain1, is_cycle, mirror_chain, edge_of_move
 from .moves import MoveSequence, induced_vertex_moves
 from .reduction import BudgetExhausted, ReductionConfig, reduce_sphere
 from .solver import SolverBudget, evaluate_c0
@@ -63,8 +64,10 @@ def verify_4manifold(K: Manifold4Input,
         lk = oriented_link(oc, v)
         links[v] = lk
         report.link_sizes[v] = (len(lk.vertices), len(lk.facets))
-        if not lk.complex.is_closed_pseudomanifold():
-            raise LinkNotCertified(v, "link is not a closed pseudomanifold")
+        try:
+            require_closed(lk.complex)
+        except ComplexError as exc:
+            raise LinkNotCertified(v, str(exc))
     for v in sorted(links):
         try:
             report.links[v] = reduce_sphere(links[v], cfg)
@@ -75,32 +78,32 @@ def verify_4manifold(K: Manifold4Input,
 
 def assemble_p1_cycle(K: Manifold4Input,
                       reductions: Dict[int, MoveSequence]):
-    """The equivariant move cycle of the manifold.
+    """The equivariant move cycle of the manifold, with a registry from the
+    code of every link under it to that link.
 
     Reductions run link -> simplex boundary; the sums of the formula run the
-    other way, so each sequence is reversed (with the matching sign flip
-    through edge orientation) before collecting the essential induced moves
-    on the links of the intermediate 3-spheres.
+    other way, so each reduction is replayed forward once and its steps are
+    walked last to first, each as the inverse move.  The induced moves on
+    the links of the intermediate 3-spheres that are edges of the graph of
+    2-spheres (``edge_of_move`` is not None) make up the cycle.
     """
     oc = K.complex
-    half = Chain1()
+    edges = []
     registry: dict = {}
     for v in sorted(oc.vertices):
         seq = reductions[v]
         if seq.initial != oriented_link(oc, v):
             raise ComplexError(f"reduction for vertex {v} starts elsewhere")
-        rev = seq.reversed()
-        for state, m, nxt in rev.replay():
-            for rec in induced_vertex_moves(state, m, nxt):
-                if not rec.essential:
+        for before, m, after in reversed(list(seq.replay())):
+            for rec in induced_vertex_moves(after, m.inverse(), before):
+                e = edge_of_move(rec.link_before, rec.induced,
+                                 L2=rec.link_after)
+                if e is None:
                     continue
-                key, sign = edge_of_move(rec.link_before, rec.induced,
-                                         L2=rec.link_after)
-                half = half + single_edge(key, sign)
+                edges.append(e)
                 for lk in (rec.link_before, rec.link_after):
                     registry.setdefault(canonical.code_bytes(lk), lk)
-                    rev_lk = lk.reverse()
-                    registry.setdefault(canonical.code_bytes(rev_lk), rev_lk)
+    half = Chain1(edges)
     gamma = half - mirror_chain(half)
     if not is_cycle(gamma):
         raise AssembledChainNotACycle("equivariant assembly has boundary")

@@ -42,8 +42,7 @@ def _identity_data(L, move):
     """Spheres a non-vacuous table for the homotopy identity should hit."""
     involved = [L, apply_move(L, move)]
     for rec in induced_vertex_moves(L, move, involved[1]):
-        if rec.essential:
-            involved.append(build_L_beta(rec.link_before, rec.induced))
+        involved.append(build_L_beta(rec.link_before, rec.induced))
     L_beta = build_L_beta(L, move)
     involved += [oriented_link(L_beta, v) for v in L_beta.vertices]
     return involved

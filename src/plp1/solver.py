@@ -120,12 +120,11 @@ class DecompositionCertificate:
 class SolverBudget:
     radius_max: int = 2
     seed: int = 0
-    kinds: Optional[Iterable[str]] = None
 
 
-def _candidates_at(L: OrientedComplex, kinds) -> list:
+def _candidates_at(L: OrientedComplex) -> list:
     out = []
-    for g in enumerate_at(L, kinds):
+    for g in enumerate_at(L):
         val = g.value
         out.append(Candidate(g.spec, False, g.chain, val))
         m = mirror_chain(g.chain)
@@ -179,7 +178,7 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
             if canonical.mirror_code_bytes(L) in enumerated:
                 continue
             enumerated.add(canonical.code_bytes(L))
-            for cand in _candidates_at(L, budget.kinds):
+            for cand in _candidates_at(L):
                 rep, _ = cand.chain.normalized()
                 key = rep.frozen()
                 if key in seen_chains:

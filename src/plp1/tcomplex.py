@@ -128,8 +128,7 @@ def prop_identity_residual(f: LocalFunction, L1: OrientedComplex, m: Move) -> Fr
     lhs = f.value(L2) - f.value(L1)
     delta_sf = Fraction(0)
     for rec in induced_vertex_moves(L1, m, L2):
-        if rec.essential:
-            delta_sf += f.value(build_L_beta(rec.link_before, rec.induced))
+        delta_sf += f.value(build_L_beta(rec.link_before, rec.induced))
     L_beta = build_L_beta(L1, m)
     s_delta_f = delta_eval(f, L_beta)
     return lhs - delta_sf - s_delta_f

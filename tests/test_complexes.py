@@ -29,7 +29,7 @@ def test_link_table_is_closed_3_pseudomanifold():
     assert L.dim == 3
     assert len(L.vertices) == 8
     assert len(L.facets) == 20
-    assert L.complex.is_closed_pseudomanifold()
+    cx.require_closed(L.complex)
 
 
 def test_orientations_of_boundary_simplex():
@@ -81,14 +81,14 @@ def test_join_cone_suspension():
         cx.join(cx.SimplicialComplex([(1,)]), cx.SimplicialComplex([(1,)]))
     susp = cx.suspension(oriented(OCTAHEDRON))
     assert susp.dim == 3
-    assert susp.complex.is_closed_pseudomanifold()
+    cx.require_closed(susp.complex)
 
 
 def test_oriented_links_are_closed_pseudomanifolds():
     for L in (cx.boundary_simplex(4), oriented(OCTAHEDRON), link_L()):
         for v in L.vertices:
             lk = cx.oriented_link(L, v)
-            assert lk.complex.is_closed_pseudomanifold()
+            cx.require_closed(lk.complex)
             assert lk.dim == L.dim - 1
 
 

@@ -5,8 +5,10 @@ import pytest
 
 from plp1 import canonical as canon
 from plp1 import complexes as cx
+from plp1 import fixtures as fx
 from plp1 import gamma2 as g2
 from plp1 import moves as mv
+from plp1 import pontryagin as pt
 
 from conftest import BIPYRAMID, oriented, relabeled
 
@@ -15,6 +17,29 @@ def test_inessential_move_has_no_edge():
     bip = oriented(BIPYRAMID)
     flip = mv.make_move(bip, (1, 2))
     assert g2.edge_of_move(bip, flip) is None
+
+
+def test_no_edge_exactly_when_code_and_orbit_repeat():
+    """edge_of_move is None exactly when the sphere code and the orbit of
+    the move's simplex come back unchanged, over the induced moves that
+    assembly walks on cp2_9 and the bipyramid flip."""
+    bip = oriented(BIPYRAMID)
+    flip = mv.make_move(bip, (1, 2))
+    cases = [(bip, flip, mv.apply_move(bip, flip))]
+    report = pt.verify_4manifold(pt.Manifold4Input(fx.cp2_9()))
+    assert len(report.links) == 9
+    for seq in report.links.values():
+        for before, m, after in reversed(list(seq.replay())):
+            for rec in mv.induced_vertex_moves(after, m.inverse(), before):
+                cases.append((rec.link_before, rec.induced, rec.link_after))
+    verdicts = []
+    for L, m, L2 in cases:
+        inessential = (canon.code_bytes(L) == canon.code_bytes(L2)
+                       and canon.canonical_orbit(L, m.delta1)
+                       == canon.canonical_orbit(L2, m.delta2))
+        assert (g2.edge_of_move(L, m, L2=L2) is None) == inessential
+        verdicts.append(inessential)
+    assert set(verdicts) == {True, False}
 
 
 def test_subdivision_edge_endpoints():

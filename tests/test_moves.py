@@ -1,10 +1,13 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from plp1 import canonical as canon
 from plp1 import complexes as cx
+from plp1 import gamma2 as g2
 from plp1 import moves as mv
 from plp1.fixtures import cp2_9, link_L, sequence_9
 
@@ -143,12 +146,12 @@ def test_first_printed_step_on_link_table():
 
 def test_essentialness():
     d3 = cx.boundary_simplex(3)
-    assert mv.is_essential(d3, mv.make_move(d3, (0, 1, 2)))
+    assert g2.edge_of_move(d3, mv.make_move(d3, (0, 1, 2))) is not None
     bip = oriented(BIPYRAMID)
     flip = mv.make_move(bip, (1, 2))  # equatorial edge of the bipyramid
     assert mv.apply_move(bip, flip) != bip
     assert canon.code_bytes(mv.apply_move(bip, flip)) == canon.code_bytes(bip)
-    assert not mv.is_essential(bip, flip)
+    assert g2.edge_of_move(bip, flip) is None
 
 
 def test_induced_moves_of_facet_subdivision():
@@ -156,7 +159,8 @@ def test_induced_moves_of_facet_subdivision():
     m = mv.make_move(d4, (0, 1, 2, 3))
     recs = mv.induced_vertex_moves(d4, m)
     assert len(recs) == 4
-    assert all(r.essential for r in recs)
+    assert all(g2.edge_of_move(r.link_before, r.induced, L2=r.link_after)
+               is not None for r in recs)
     assert {r.vertex for r in recs} == {0, 1, 2, 3}
     for r in recs:
         assert mv.apply_move(r.link_before, r.induced) == r.link_after
@@ -208,11 +212,33 @@ def test_sequence_replay_and_reverse():
     seq = sequence_9()
     final = seq.final()
     assert len(final.vertices) == 5 and len(final.facets) == 5
-    rev = seq.reversed()
-    assert rev.final() == seq.initial
+    inverse = mv.MoveSequence(final, [m.inverse() for m in reversed(seq.moves)])
+    assert inverse.final() == seq.initial
     text = seq.to_json()
     again = mv.MoveSequence.from_json(seq.initial, text)
     assert [m.delta1 for m in again.moves] == [m.delta1 for m in seq.moves]
+
+
+def test_forward_replay_walked_backwards_is_the_inverse_replay():
+    seq = sequence_9()
+    inverse = mv.MoveSequence(seq.final(),
+                              [m.inverse() for m in reversed(seq.moves)])
+    walked = [(after, m.inverse(), before)
+              for before, m, after in reversed(list(seq.replay()))]
+    assert walked == list(inverse.replay())
+
+
+def test_moves_imports_only_complexes():
+    tree = ast.parse(Path(mv.__file__).read_text())
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("plp1")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("plp1") for a in node.names)
+    assert local == {"complexes"}
 
 
 def _random_walk_signs_agree(L, steps, rng):

@@ -125,9 +125,9 @@ def test_homotopy_identity_holds(pool):
         L = pool[rng.randrange(len(pool))]
         move = rng.choice(mv.admissible_moves(L))
         involved = [L, mv.apply_move(L, move)]
+        # induced moves on circles change the vertex count: all essential
         for rec in mv.induced_vertex_moves(L, move):
-            if rec.essential:
-                involved.append(mv.build_L_beta(rec.link_before, rec.induced))
+            involved.append(mv.build_L_beta(rec.link_before, rec.induced))
         L_beta = mv.build_L_beta(L, move)
         involved += [cx.oriented_link(L_beta, v) for v in L_beta.vertices]
         f = random_skew_table(involved, rng)
