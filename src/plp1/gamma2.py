@@ -22,6 +22,10 @@ class LoopNotClosed(ComplexError):
     pass
 
 
+class ChainFormatError(ComplexError):
+    pass
+
+
 @dataclass(frozen=True, order=True)
 class EndPoint:
     """One endpoint of an edge: sphere code, move-simplex orbit, and the
@@ -195,7 +199,9 @@ def chain_from_json(entries: Iterable[dict]):
 
     Endpoint complexes are reconstructed from their canonical codes, so the
     mirror data of each edge can be recomputed; returns (chain, registry)
-    where registry maps codes to oriented complexes.
+    where registry maps codes to oriented complexes.  Raises
+    ChainFormatError, naming the entry, on anything but a list of
+    {"edge": {...}, "coeff": "p/q"} entries.
     """
     registry: dict = {}
 
@@ -209,13 +215,21 @@ def chain_from_json(entries: Iterable[dict]):
                         canonical.mirror_code_bytes(L),
                         _transport_orbit(L, tuple(orbit)))
 
+    if not isinstance(entries, list):
+        raise ChainFormatError(
+            f"expected a list of entries, got {type(entries).__name__}")
     items = []
-    for entry in entries:
-        e = entry["edge"]
-        a = end(e["from"], e["from_orbit"])
-        b = end(e["to"], e["to_orbit"])
-        num, den = entry["coeff"].split("/")
-        items.append((EdgeKey(a, b), Fraction(int(num), int(den))))
+    for i, entry in enumerate(entries):
+        try:
+            e = entry["edge"]
+            a = end(e["from"], e["from_orbit"])
+            b = end(e["to"], e["to_orbit"])
+            num, den = entry["coeff"].split("/")
+            items.append((EdgeKey(a, b), Fraction(int(num), int(den))))
+        except (LookupError, TypeError, ValueError, AttributeError,
+                ZeroDivisionError) as exc:
+            raise ChainFormatError(
+                f"entry {i}: {type(exc).__name__}: {exc}") from None
     return Chain1(items), registry
 
 

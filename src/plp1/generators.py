@@ -5,7 +5,9 @@ subdivision commuting with an edge flip, two commuting flips, a
 subdivide-flip-remove triangle, and two pentagon loops) generate the cycle
 space of the graph of 2-spheres.  Each loop, classified by the local
 configuration of its anchors, carries a closed-form rational value; the
-solver prices arbitrary cycles by exact decomposition over these.
+solver prices arbitrary cycles by exact decomposition over these.  A loop
+is written down as a fixed list of moves from its anchor sphere; the one
+replay in ``gamma2.loop_to_chain`` applies and checks them.
 
 Chirality conventions (which arc of a vertex star is counted as p, which
 endpoint of a shared edge is x) are fixed here once and guarded by the
@@ -22,7 +24,8 @@ from typing import Iterable, Optional
 from . import canonical
 from .complexes import ComplexError, OrientedComplex, Simplex, full_subcomplex
 from .gamma2 import Chain1, is_cycle, loop_to_chain
-from .moves import Move, MoveNotAdmissible, MoveSequence, apply_move, make_move
+from .moves import (Move, MoveNotAdmissible, MoveSequence, admissible_moves,
+                    make_move)
 
 
 class AnchorConfigurationInvalid(ComplexError):
@@ -103,7 +106,7 @@ def c0_of(spec: GeneratorSpec) -> Fraction:
 # ---------------------------------------------------------------- anchors
 
 def _degree(L: OrientedComplex, v) -> int:
-    return sum(1 for f in L.facets if v in f)
+    return len(canonical.sphere_data(L).rot[v])
 
 
 def _positive_triple(L: OrientedComplex, f: Simplex):
@@ -143,14 +146,6 @@ def _arc_count(L: OrientedComplex, x, first: Simplex, second: Simplex) -> int:
     return count
 
 
-def _expect_flip(L: OrientedComplex, e, want) -> Move:
-    m = make_move(L, e)
-    if set(m.delta2) != set(want):
-        raise AnchorConfigurationInvalid(
-            f"flip of {e} creates {m.delta2}, expected {tuple(want)}")
-    return m
-
-
 def _consecutive(L: OrientedComplex, w, T, S) -> bool:
     """Whether triangle S follows triangle T in the positive rotation at w."""
     return _link_edge_at(L, T, w)[1] == _link_edge_at(L, S, w)[0]
@@ -177,7 +172,17 @@ def _fan_bit(L: OrientedComplex, x, path) -> int:
     raise AnchorConfigurationInvalid("link path does not follow the rotation")
 
 
+def _move(d1, d2) -> Move:
+    return Move(tuple(sorted(d1)), tuple(sorted(d2)))
+
+
 def _finish(L: OrientedComplex, moves, spec: GeneratorSpec, bit: int) -> GeneratorChain:
+    """The generator chain of a loop written down as its moves from L.
+
+    The replay in ``loop_to_chain`` is the one place where the moves are
+    applied: ``apply_move`` accepts a move only if it is the one
+    ``make_move`` derives on the replayed state, so a wrong cofactor raises
+    MoveNotAdmissible there."""
     chain, registry = loop_to_chain(L, moves)
     if not is_cycle(chain):
         raise AnchorConfigurationInvalid("generator loop is not a cycle")
@@ -203,19 +208,15 @@ def classify_alpha1(L: OrientedComplex, t1: Simplex, t2: Simplex):
 
 def build_alpha1(L: OrientedComplex, t1, t2) -> GeneratorChain:
     """Subdivide t1, subdivide t2, remove the first new vertex, remove the
-    second; a closed loop for any two distinct triangles."""
+    second: the commutator of the two subdivisions, a closed loop for any
+    two distinct triangles."""
     t1, t2 = tuple(sorted(t1)), tuple(sorted(t2))
     if t1 not in L.facets or t2 not in L.facets or t1 == t2:
         raise AnchorConfigurationInvalid("need two distinct facets")
     v1 = max(L.vertices) + 1
-    v2 = v1 + 1
-    m1 = make_move(L, t1, new_vertex=v1)
-    L1 = apply_move(L, m1)
-    m2 = make_move(L1, t2, new_vertex=v2)
-    L12 = apply_move(L1, m2)
-    m3 = make_move(L12, (v1,))
-    m4 = make_move(apply_move(L12, m3), (v2,))
-    return _finish(L, [m1, m2, m3, m4], *classify_alpha1(L, t1, t2))
+    m1, m2 = Move(t1, (v1,)), Move(t2, (v1 + 1,))
+    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()],
+                   *classify_alpha1(L, t1, t2))
 
 
 # ---------------------------------------------------------------- alpha 2
@@ -247,7 +248,8 @@ def classify_alpha2(L: OrientedComplex, t: Simplex, e: Simplex):
 
 
 def build_alpha2(L: OrientedComplex, t, e) -> GeneratorChain:
-    """Subdivide t, flip e, remove the new vertex, flip back."""
+    """Subdivide t, flip e, remove the new vertex, flip back: the commutator
+    of the subdivision and the flip, both built on L."""
     t, e = tuple(sorted(t)), tuple(sorted(e))
     if t not in L.facets:
         raise AnchorConfigurationInvalid(f"{t} is not a facet")
@@ -257,34 +259,26 @@ def build_alpha2(L: OrientedComplex, t, e) -> GeneratorChain:
     if classified is None:
         raise AnchorConfigurationInvalid("configuration is not a priced pattern")
     try:
-        make_move(L, e)
+        m2 = make_move(L, e)
     except MoveNotAdmissible as exc:
         raise AnchorConfigurationInvalid(str(exc))
-    v = max(L.vertices) + 1
-    m1 = make_move(L, t, new_vertex=v)
-    L1 = apply_move(L, m1)
-    m2 = make_move(L1, e)
-    L2 = apply_move(L1, m2)
-    m3 = make_move(L2, (v,))
-    m4 = make_move(apply_move(L2, m3), m2.delta2)
-    return _finish(L, [m1, m2, m3, m4], *classified)
+    m1 = Move(t, (max(L.vertices) + 1,))
+    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified)
 
 
 # ---------------------------------------------------------------- alpha 3
 
 def admissible_pair(L: OrientedComplex, e1, e2) -> bool:
     """No triangle contains both edges, both flips are legal, and the second
-    stays legal after the first."""
+    stays legal after the first.  The first flip then changes no triangle at
+    e2, so the second stays legal unless both flips create the same edge."""
     e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
     if e1 == e2 or L.complex.has_simplex(tuple(sorted(set(e1) | set(e2)))):
         return False
     try:
-        m1 = make_move(L, e1)
-        make_move(L, e2)
-        make_move(apply_move(L, m1), e2)
+        return make_move(L, e1).delta2 != make_move(L, e2).delta2
     except MoveNotAdmissible:
         return False
-    return True
 
 
 def classify_alpha3(L: OrientedComplex, e1: Simplex, e2: Simplex):
@@ -314,20 +308,16 @@ def classify_alpha3(L: OrientedComplex, e1: Simplex, e2: Simplex):
 
 
 def build_alpha3(L: OrientedComplex, e1, e2) -> GeneratorChain:
-    """Flip e1, flip e2, flip the first new edge back, flip the second back."""
+    """Flip e1, flip e2, flip the first new edge back, flip the second back:
+    the commutator of the two flips, both built on L."""
     e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
     if not admissible_pair(L, e1, e2):
         raise AnchorConfigurationInvalid(f"({e1}, {e2}) is not an admissible pair")
     classified = classify_alpha3(L, e1, e2)
     if classified is None:
         raise AnchorConfigurationInvalid("configuration is not a priced pattern")
-    m1 = make_move(L, e1)
-    L1 = apply_move(L, m1)
-    m2 = make_move(L1, e2)
-    L2 = apply_move(L1, m2)
-    m3 = make_move(L2, m1.delta2)
-    m4 = make_move(apply_move(L2, m3), m2.delta2)
-    return _finish(L, [m1, m2, m3, m4], *classified)
+    m1, m2 = make_move(L, e1), make_move(L, e2)
+    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified)
 
 
 # ---------------------------------------------------------------- alpha 4
@@ -352,17 +342,14 @@ def classify_alpha4(L: OrientedComplex, x, y, z):
 
 
 def build_alpha4(L: OrientedComplex, x, y, z) -> GeneratorChain:
-    """Subdivide {u,y,z}, flip {u,z} onto the new vertex, remove u; closes up
-    to the relabeling u -> new vertex."""
+    """Subdivide {u,y,z} with a new vertex v, flip {u,z} onto {x,v}, remove
+    u (its link is then {x,y,v}); closes up to the relabeling u -> v."""
     classified = classify_alpha4(L, x, y, z)
     u = _hub_of(L, x, y, z)
     v = max(L.vertices) + 1
-    m1 = make_move(L, tuple(sorted((u, y, z))), new_vertex=v)
-    L1 = apply_move(L, m1)
-    m2 = _expect_flip(L1, tuple(sorted((u, z))), (x, v))
-    L2 = apply_move(L1, m2)
-    m3 = make_move(L2, (u,))
-    return _finish(L, [m1, m2, m3], *classified)
+    moves = [_move((u, y, z), (v,)), _move((u, z), (x, v)),
+             _move((u,), (x, y, v))]
+    return _finish(L, moves, *classified)
 
 
 # ---------------------------------------------------------------- alpha 5
@@ -382,20 +369,15 @@ def classify_alpha5(L: OrientedComplex, x, y, z, u):
 
 
 def build_alpha5(L: OrientedComplex, x, y, z, u) -> GeneratorChain:
-    """Pentagon loop: subdivide {x,z,u}, flip {x,z}, flip {w,z}, remove the
-    new vertex, flip {y,u} back."""
+    """Pentagon loop: subdivide {x,z,u} with a new vertex w, flip {x,z} onto
+    {y,w}, flip {w,z} onto {y,u}, remove w (its link is then {x,y,u}),
+    flip {y,u} back onto {x,z}."""
     classified = classify_alpha5(L, x, y, z, u)
     w = max(L.vertices) + 1
-    m1 = make_move(L, tuple(sorted((x, z, u))), new_vertex=w)
-    L1 = apply_move(L, m1)
-    m2 = _expect_flip(L1, tuple(sorted((x, z))), (y, w))
-    L2 = apply_move(L1, m2)
-    m3 = _expect_flip(L2, tuple(sorted((w, z))), (y, u))
-    L3 = apply_move(L2, m3)
-    m4 = make_move(L3, (w,))
-    L4 = apply_move(L3, m4)
-    m5 = _expect_flip(L4, tuple(sorted((y, u))), (x, z))
-    return _finish(L, [m1, m2, m3, m4, m5], *classified)
+    moves = [_move((x, z, u), (w,)), _move((x, z), (y, w)),
+             _move((w, z), (y, u)), _move((w,), (x, y, u)),
+             _move((y, u), (x, z))]
+    return _finish(L, moves, *classified)
 
 
 # ---------------------------------------------------------------- alpha 6
@@ -409,36 +391,17 @@ def classify_alpha6(L: OrientedComplex, x, y, z, u, v):
 
 
 def build_alpha6(L: OrientedComplex, x, y, z, u, v) -> GeneratorChain:
-    """Pentagon of five flips around the fan of three triangles at x."""
+    """Pentagon of five flips around the fan of three triangles at x:
+    {x,z} onto {y,u}, {x,u} onto {y,v}, {y,u} onto {z,v}, {y,v} onto {x,z},
+    {z,v} onto {x,u}."""
     classified = classify_alpha6(L, x, y, z, u, v)
-    m1 = _expect_flip(L, tuple(sorted((x, z))), (y, u))
-    L1 = apply_move(L, m1)
-    m2 = _expect_flip(L1, tuple(sorted((x, u))), (y, v))
-    L2 = apply_move(L1, m2)
-    m3 = _expect_flip(L2, tuple(sorted((y, u))), (z, v))
-    L3 = apply_move(L2, m3)
-    m4 = _expect_flip(L3, tuple(sorted((y, v))), (x, z))
-    L4 = apply_move(L3, m4)
-    m5 = _expect_flip(L4, tuple(sorted((z, v))), (x, u))
-    return _finish(L, [m1, m2, m3, m4, m5], *classified)
+    moves = [_move((x, z), (y, u)), _move((x, u), (y, v)),
+             _move((y, u), (z, v)), _move((y, v), (x, z)),
+             _move((z, v), (x, u))]
+    return _finish(L, moves, *classified)
 
 
 # ---------------------------------------------------------------- surveys
-
-def _edges(L: OrientedComplex):
-    return sorted(L.complex.faces(1))
-
-
-def _admissible_edges(L: OrientedComplex):
-    out = []
-    for e in _edges(L):
-        try:
-            make_move(L, e)
-        except MoveNotAdmissible:
-            continue
-        out.append(e)
-    return out
-
 
 def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     """All priced generator chains anchored at L, deduplicated by chain.
@@ -463,7 +426,7 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
             out.append(g)
 
     facets = sorted(L.facets)
-    adm = _admissible_edges(L)
+    adm = sorted(m.delta1 for m in admissible_moves(L) if len(m.delta1) == 2)
     if "S1" in want:
         for t1, t2 in itertools.combinations(facets, 2):
             push(build_alpha1, t1, t2)
@@ -474,8 +437,7 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
                     push(build_alpha2, t, e)
     if "S3" in want:
         for e1, e2 in itertools.combinations(adm, 2):
-            if admissible_pair(L, e1, e2):
-                push(build_alpha3, e1, e2)
+            push(build_alpha3, e1, e2)
     if "S4" in want:
         for u in L.vertices:
             if _degree(L, u) == 3:
@@ -485,7 +447,7 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
                     push(build_alpha4, x, y, z)
                     push(build_alpha4, x, z, y)
     if "S5" in want:
-        for e in _edges(L):
+        for e in sorted(L.complex.faces(1)):
             x0, z0 = e
             tips = sorted({v for f in L.facets if set(e) <= set(f)
                            for v in f if v not in e})

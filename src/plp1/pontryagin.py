@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from . import canonical
-from .complexes import (ComplexError, OrientedComplex, oriented_link,
+from .complexes import (ComplexError, OrientedComplex, oriented_links,
                         require_closed)
 from .gamma2 import Chain1, is_cycle, mirror_chain, edge_of_move
 from .moves import MoveSequence, induced_vertex_moves
@@ -59,10 +59,8 @@ def verify_4manifold(K: Manifold4Input,
     cfg = cfg or ReductionConfig()
     oc = K.complex
     report = VerificationReport()
-    links = {}
-    for v in oc.vertices:
-        lk = oriented_link(oc, v)
-        links[v] = lk
+    links = oriented_links(oc, oc.vertices)
+    for v, lk in links.items():
         report.link_sizes[v] = (len(lk.vertices), len(lk.facets))
         try:
             require_closed(lk.complex)
@@ -88,11 +86,12 @@ def assemble_p1_cycle(K: Manifold4Input,
     2-spheres (``edge_of_move`` is not None) make up the cycle.
     """
     oc = K.complex
+    links = oriented_links(oc, oc.vertices)
     edges = []
     registry: dict = {}
     for v in sorted(oc.vertices):
         seq = reductions[v]
-        if seq.initial != oriented_link(oc, v):
+        if seq.initial != links[v]:
             raise ComplexError(f"reduction for vertex {v} starts elsewhere")
         for before, m, after in reversed(list(seq.replay())):
             for rec in induced_vertex_moves(after, m.inverse(), before):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .canonical import iso_generic
 from .complexes import ComplexError, OrientedComplex, boundary_simplex
-from .moves import MoveSequence, admissible_moves, apply_move, make_move
+from .moves import Move, MoveSequence, admissible_moves, apply_move
 
 
 class BudgetExhausted(ComplexError):
@@ -81,7 +81,7 @@ def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
                     stagnant = 0
                 continue
         if len(pick.delta2) == 1:
-            pick = make_move(state, pick.delta1, new_vertex=fresh)
+            pick = Move(pick.delta1, (fresh,))
             fresh += 1
         state = apply_move(state, pick)
         moves.append(pick)

@@ -149,3 +149,19 @@ def test_missing_input_exits_one(capsys, tmp_path):
                                "--json")
         assert code == 1
         assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_malformed_chain_exits_one(capsys, tmp_path):
+    from plp1 import generators as gen
+    from conftest import STACKED6, oriented
+    good = gen.build_alpha6(oriented(STACKED6), 1, 2, 3, 4, 5).chain.to_json()
+    path = tmp_path / "chain.json"
+    for entries in ([1], {"a": 1},
+                    [dict(good[0], coeff="1/0")], [dict(good[0], coeff=1)]):
+        path.write_text(json.dumps(entries))
+        code, _, err = run_cli(capsys, "c0-cycle", str(path), "--json")
+        assert code == 1
+        report = json.loads(err)
+        assert report["error"] == "ChainFormatError"
+        if isinstance(entries, list):
+            assert report["detail"].startswith("entry 0:")

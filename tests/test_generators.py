@@ -195,10 +195,9 @@ def _normalized_entries(chains_and_values):
     return out
 
 
-def test_mirror_sphere_enumerates_mirrored_chains():
-    """The solver skips an anchor whose mirror it has enumerated; that is
-    sound because the chains at L.reverse() are the mirrors of those at L,
-    with negated values."""
+@pytest.fixture(scope="module")
+def cp2_cycle_spheres():
+    """The spheres under the seed-0 cycle of cp2_9, in code order."""
     from plp1.fixtures import cp2_9
     from plp1 import pontryagin as pt
     from plp1.reduction import ReductionConfig
@@ -207,9 +206,36 @@ def test_mirror_sphere_enumerates_mirrored_chains():
     gamma, registry = pt.assemble_p1_cycle(K, report.links)
     codes = {code for key in gamma.coefficients
              for code in (key.a.code, key.b.code)}
-    assert codes
-    for code in sorted(codes):
-        L = registry.get(code) or canon.complex_from_code(code)
+    return [registry.get(code) or canon.complex_from_code(code)
+            for code in sorted(codes)]
+
+
+def test_generator_families_are_pinned(cp2_cycle_spheres):
+    """Each loop is a written-down list of moves that the replay checks; a
+    wrong cofactor makes ``enumerate_at`` drop its loop silently, so the
+    family counts are pinned, and every move must be the one ``make_move``
+    derives on the replayed state."""
+    per_sphere, per_family = [], {}
+    for L in cp2_cycle_spheres:
+        chains = gen.enumerate_at(L)
+        per_sphere.append(len(chains))
+        for g in chains:
+            family = g.spec.kind[:2]
+            per_family[family] = per_family.get(family, 0) + 1
+            for state, m, _ in g.loop.replay():
+                fresh = m.delta2[0] if len(m.delta1) == 3 else None
+                assert mv.make_move(state, m.delta1, new_vertex=fresh) == m
+    assert per_sphere == [29, 61, 61, 59, 64]
+    assert per_family == {"S1": 86, "S2": 98, "S3": 10, "S4": 13, "S5": 60,
+                          "S6": 7}
+
+
+def test_mirror_sphere_enumerates_mirrored_chains(cp2_cycle_spheres):
+    """The solver skips an anchor whose mirror it has enumerated; that is
+    sound because the chains at L.reverse() are the mirrors of those at L,
+    with negated values."""
+    assert cp2_cycle_spheres
+    for L in cp2_cycle_spheres:
         here = gen.enumerate_at(L)
         there = gen.enumerate_at(L.reverse())
         mirrored = _normalized_entries(
