@@ -173,20 +173,6 @@ def require_closed(K: SimplicialComplex) -> None:
         raise ComplexError("complex is not connected")
 
 
-def full_subcomplex(K: SimplicialComplex, V: Iterable[int]) -> SimplicialComplex:
-    """Subcomplex of all simplices with vertices in V, by maximal simplices."""
-    vs = set(V)
-    pieces = {f_in for f in K.facets
-              for n in range(1, len(f) + 1)
-              for f_in in itertools.combinations(f, n)
-              if set(f_in) <= vs}
-    if not pieces:
-        raise ComplexError("no simplices spanned by the given vertices")
-    maximal = [p for p in pieces
-               if not any(p != q and set(p) < set(q) for q in pieces)]
-    return SimplicialComplex(maximal, validate=False)
-
-
 def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     if set(A.vertices) & set(B.vertices):
         raise VertexCollision(f"{set(A.vertices) & set(B.vertices)} shared")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import canonical
-from .complexes import ComplexError, OrientedComplex, Simplex, full_subcomplex
+from .complexes import ComplexError, OrientedComplex, Simplex
 from .gamma2 import Chain1, is_cycle, loop_to_chain
 from .moves import (Move, MoveNotAdmissible, MoveSequence, admissible_moves,
                     make_move)
@@ -355,8 +355,17 @@ def build_alpha4(L: OrientedComplex, x, y, z) -> GeneratorChain:
 # ---------------------------------------------------------------- alpha 5
 
 def _require_full(L: OrientedComplex, verts, triangles) -> None:
-    sub = full_subcomplex(L.complex, verts)
-    if set(sub.facets) != {tuple(sorted(t)) for t in triangles}:
+    """Raise unless the triangles are the maximal simplices L spans on
+    verts: exactly these triples of verts are facets, and every other pair
+    of verts is a non-edge (each vertex lies in one of the triangles)."""
+    want = {tuple(sorted(t)) for t in triangles}
+    sides = {e for t in want for e in itertools.combinations(t, 2)}
+    rot = canonical.sphere_data(L).rot
+    vs = sorted(verts)
+    if (any((t in L.facets) != (t in want)
+            for t in itertools.combinations(vs, 3))
+            or any(b in rot[a] for a, b in itertools.combinations(vs, 2)
+                   if (a, b) not in sides)):
         raise AnchorConfigurationInvalid(
             f"full subcomplex on {verts} is not the required triangles")
 

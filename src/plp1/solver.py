@@ -5,14 +5,18 @@ cycle as an exact rational combination of generator chains certifies its
 value: the generator families span the cycle space, and the value of the
 combination is independent of the decomposition found.  The solver
 enumerates generator chains anchored at the spheres supporting the cycle,
-expanding in move-radius rings on failure, and solves the sparse rational
-system by fraction-exact elimination.
+expanding in move-radius rings on failure.  It solves the sparse rational
+system by elimination modulo a prime and lifts the solution back to
+rationals by rational reconstruction; the exact replay of the resulting
+certificate decides whether it is accepted, and an unlucky prime is
+replaced by the next one.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Iterable, Optional
 
 from . import canonical
@@ -33,53 +37,102 @@ class NoDecompositionWithinBudget(ComplexError):
 CANDIDATE_MAX = 200_000
 
 
-class Eliminator:
-    """Incremental exact Gaussian elimination over sparse rational vectors.
+# The primes of the modular elimination, tried in order.  Both are prime
+# (tests/test_solver.py checks it), and their reconstruction bounds admit
+# every fraction whose numerator and denominator are below 2**30.
+PRIMES = (2**61 - 1, 2**62 - 57)
 
-    Basis rows remember how they combine the inserted columns, so inserting
-    a dependent column yields the exact null relation it closes.
+
+class UnluckyPrime(ComplexError):
+    """A result modulo the prime that has no small rational preimage, or
+    whose preimage fails the exact check; the next prime is tried."""
+
+
+def rational(r: int, p: int) -> Fraction:
+    """The fraction a/b with |a|, b <= sqrt(p/2) and a = r*b mod p.
+
+    Wang's rational reconstruction: the extended Euclidean algorithm on
+    (p, r), stopped at the first remainder below the bound.  Such a
+    fraction is unique when it exists; raises UnluckyPrime when it does
+    not.
+    """
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, r % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        raise UnluckyPrime(f"{r} has no small preimage modulo {p}")
+    return Fraction(r1, t1)
+
+
+def _subtract(dst: dict, src: dict, c: int, p: int) -> None:
+    """dst -= c * src modulo p, dropping the entries that become zero."""
+    for k, q in src.items():
+        s = (dst.get(k, 0) - c * q) % p
+        if s:
+            dst[k] = s
+        else:
+            del dst[k]
+
+
+class Eliminator:
+    """Incremental Gaussian elimination modulo a prime over sparse columns.
+
+    Columns map keys to rationals and are read as residues modulo
+    ``prime``.  Each basis row is scaled so its pivot is 1 and remembers how
+    it combines the inserted columns, so inserting a dependent column yields
+    the null relation it closes.  Results are lifted back to rationals by
+    rational reconstruction (``lift``); a lift is exact only when the prime
+    is not unlucky, so the caller checks it exactly.
     """
 
-    def __init__(self):
-        self.rows = []  # (pivot_key, reduced_vec, expr: idx -> Fraction)
+    def __init__(self, prime: int = PRIMES[0]):
+        self.prime = prime
+        self.rows = []  # (pivot_key, row with row[pivot] == 1, expr)
+
+    def _residues(self, vec: dict) -> dict:
+        p = self.prime
+        try:
+            out = {k: q.numerator * pow(q.denominator, -1, p) % p
+                   for k, q in vec.items()}
+        except ValueError:
+            raise UnluckyPrime(f"a denominator vanishes modulo {p}") from None
+        return {k: r for k, r in out.items() if r}
 
     def _reduce(self, vec: dict, expr: dict):
-        for pivot, col, bc in self.rows:
+        for pivot, row, bc in self.rows:
             c = vec.get(pivot)
-            if not c:
-                continue
-            fac = c / col[pivot]
-            for k, q in col.items():
-                s = vec.get(k, Fraction(0)) - fac * q
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-            for i, q in bc.items():
-                s = expr.get(i, Fraction(0)) - fac * q
-                if s:
-                    expr[i] = s
-                else:
-                    expr.pop(i, None)
+            if c:
+                _subtract(vec, row, c, self.prime)
+                _subtract(expr, bc, c, self.prime)
         return vec, expr
 
+    def lift(self, residues: dict) -> dict:
+        """The same map with each residue lifted to its rational."""
+        return {i: rational(a, self.prime) for i, a in residues.items()}
+
     def insert(self, idx, vec: dict) -> Optional[dict]:
-        """Insert column ``idx``; returns a null relation {i: a_i} with
-        sum a_i * col_i = 0 when the column is dependent, else None."""
-        v, expr = self._reduce(dict(vec), {})
+        """Insert column ``idx``; when it is dependent, returns the null
+        relation {i: a_i} with sum a_i * col_i = 0, as residues modulo the
+        prime, else None."""
+        p = self.prime
+        v, expr = self._reduce(self._residues(vec), {idx: 1})
         if not v:
-            expr[idx] = expr.get(idx, Fraction(0)) + 1
             return expr
-        expr[idx] = expr.get(idx, Fraction(0)) + 1
-        self.rows.append((min(v), v, expr))
+        pivot = min(v)
+        inv = pow(v[pivot], -1, p)
+        self.rows.append((pivot, {k: q * inv % p for k, q in v.items()},
+                          {i: q * inv % p for i, q in expr.items()}))
         return None
 
     def express(self, vec: dict) -> Optional[dict]:
-        """{i: a_i} with vec = sum a_i * col_i, or None if out of span."""
-        v, expr = self._reduce(dict(vec), {})
+        """{i: a_i} with vec = sum a_i * col_i, lifted to rationals, or None
+        if vec is out of span modulo the prime."""
+        v, expr = self._reduce(self._residues(vec), {})
         if v:
             return None
-        return {i: -a for i, a in expr.items() if a}
+        return self.lift({i: -a for i, a in expr.items()})
 
 
 @dataclass
@@ -151,8 +204,10 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
                 budget: Optional[SolverBudget] = None):
     """Exact value of the pricing class on a cycle, plus its certificate.
 
-    Raises NotACycle for non-cycles and NoDecompositionWithinBudget when the
-    expanding candidate search fails; never returns an approximate answer.
+    Raises NotACycle for non-cycles, NoDecompositionWithinBudget when the
+    expanding candidate search fails, and ComplexError when no prime of
+    PRIMES yields a decomposition that replays exactly; every returned
+    value has passed that replay.
     """
     if not is_cycle(gamma):
         raise NotACycle("boundary is nonzero")
@@ -161,12 +216,14 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
         return Fraction(0), DecompositionCertificate([], Fraction(0), 0, 0)
 
     rng = random.Random(budget.seed)
-    elim = Eliminator()
+    primes = iter(PRIMES)
+    elim, inserted = Eliminator(next(primes)), 0
     cands: list = []
+    coord: dict = {}  # EdgeKey -> integer coordinate
     seen_chains = set()
     anchors = dict(_support_complexes(gamma, registry or {}))
     frontier = list(anchors.values())
-    target = dict(gamma.coefficients)
+    target = _on_coordinates(gamma, coord)
 
     enumerated = set()
     for radius in range(budget.radius_max + 1):
@@ -189,20 +246,31 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
                     raise NoDecompositionWithinBudget(
                         f"more than {CANDIDATE_MAX} candidates")
         rng.shuffle(batch)
-        for cand in batch:
-            idx = len(cands)
-            cands.append(cand)
-            elim.insert(idx, cand.chain.coefficients)
-        combo = elim.express(target)
-        if combo is not None:
-            terms = [(cands[i], q) for i, q in sorted(combo.items()) if q]
-            value = sum((cands[i].value * q for i, q in combo.items()),
-                        Fraction(0))
-            cert = DecompositionCertificate(terms, value, radius,
-                                            len(cands))
-            if cert.residual(gamma):
-                raise ComplexError("certificate replay failed")
-            return value, cert
+        cands += batch
+        while True:
+            # An unlucky prime shows as a failed lift or a failed replay;
+            # the next prime then starts over on the same columns.
+            try:
+                for idx in range(inserted, len(cands)):
+                    elim.insert(idx, _on_coordinates(cands[idx].chain, coord))
+                inserted = len(cands)
+                combo = elim.express(target)
+                if combo is None:
+                    break
+                terms = [(cands[i], q) for i, q in sorted(combo.items())]
+                value = sum((c.value * q for c, q in terms), Fraction(0))
+                cert = DecompositionCertificate(terms, value, radius,
+                                                len(cands))
+                if not cert.residual(gamma):
+                    return value, cert
+            except UnluckyPrime:
+                pass
+            prime = next(primes, None)
+            if prime is None:
+                raise ComplexError(
+                    f"no prime of {PRIMES} gives a decomposition that "
+                    "replays exactly")
+            elim, inserted = Eliminator(prime), 0
         if radius == budget.radius_max:
             break
         nxt: list = []
@@ -222,20 +290,39 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
         f"({len(cands)} candidates)")
 
 
+def _on_coordinates(chain: Chain1, coord: dict) -> dict:
+    """The chain's coefficients keyed by coordinate, numbering new keys."""
+    return {coord.setdefault(k, len(coord)): q
+            for k, q in chain.coefficients.items()}
+
+
 def value_null_violations(columns: Iterable) -> list:
     """Violated null relations among (chain, value) columns.
 
     Every exact linear relation among generator chains must be matched by
     the same relation among their values; any violation witnesses an
     inconsistent chirality convention and is returned for inspection.
+    Each relation is found modulo a prime, lifted, and checked exactly on
+    the chains before its values are summed.
     """
     cols = list(columns)
-    elim = Eliminator()
+    for prime in PRIMES:
+        try:
+            return _value_null_violations(cols, Eliminator(prime))
+        except UnluckyPrime:
+            continue
+    raise ComplexError(f"no prime of {PRIMES} gives exact relations")
+
+
+def _value_null_violations(cols: list, elim: Eliminator) -> list:
     bad = []
     for i, (chain, value) in enumerate(cols):
-        rel = elim.insert(i, dict(chain.coefficients))
+        rel = elim.insert(i, chain.coefficients)
         if rel is None:
             continue
+        rel = elim.lift(rel)
+        if sum((cols[j][0].scale(a) for j, a in rel.items()), Chain1()):
+            raise UnluckyPrime(f"relation closed by column {i} is not exact")
         total = sum((cols[j][1] * a for j, a in rel.items()), Fraction(0))
         if total:
             bad.append((rel, total))

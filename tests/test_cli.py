@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import plp1
 from plp1.cli import main
 from plp1.fixtures import fixture_path
@@ -70,6 +72,73 @@ def test_determinism_of_json_output(capsys):
     b = run_cli(capsys, "p1", str(fixture_path("cp2_9.facets")), "--json",
                 "--certificate", "--seed", "4")
     assert a == b
+
+
+# Certificate terms (kind, params, mirrored, coeff) of
+# ``plp1 p1 cp2_9.facets --json --certificate --seed S``, keyed by
+# (S, reversed).  The solution in the greedily chosen basis is unique, so
+# these are fixed whatever arithmetic the elimination uses.
+PINNED_TERMS = {
+    (0, False): [
+        ("S2_2", (3, 3), False, "35/1"),
+        ("S2_1", (1, 1), True, "-6/1"),
+        ("S4", (4, 2, 4), False, "35/1"),
+        ("S2_2", (1, 1), False, "-22/1"),
+        ("S1_1", (2, 1), False, "-35/1"),
+        ("S2_1", (1, 1), False, "-29/1"),
+        ("S4", (3, 3, 2), False, "70/1"),
+        ("S2_1", (2, 1), True, "-35/1"),
+        ("S5", (2, 4, 3, 2), False, "35/1"),
+        ("S2_1", (1, 1), False, "-35/1"),
+        ("S2_2", (2, 2), False, "17/1"),
+    ],
+    (0, True): [
+        ("S2_1", (1, 1), True, "169/1"),
+        ("S1_1", (1, 1), False, "70/1"),
+        ("S5", (3, 3, 3, 3), False, "-35/1"),
+        ("S2_2", (1, 1), False, "-57/1"),
+        ("S5", (2, 2, 3, 4), False, "35/1"),
+        ("S2_1", (1, 1), False, "6/1"),
+        ("S2_2", (2, 1), False, "35/1"),
+        ("S4", (3, 3, 2), True, "-175/1"),
+        ("S2_0", (), False, "35/1"),
+        ("S5", (2, 4, 3, 2), False, "-35/1"),
+        ("S5", (3, 3, 2, 2), False, "70/1"),
+        ("S2_1", (1, 1), False, "35/1"),
+        ("S2_2", (2, 2), False, "-18/1"),
+        ("S2_1", (1, 1), True, "-35/1"),
+    ],
+    (4, False): [
+        ("S3_2", (1, 1), True, "-6/1"),
+        ("S2_2", (2, 2), False, "-14/1"),
+        ("S3_2", (1, 1), False, "6/1"),
+        ("S2_2", (1, 1), False, "14/1"),
+        ("S4", (3, 2, 3), False, "18/1"),
+        ("S6", (3, 2, 2, 3, 2), False, "38/1"),
+        ("S2_2", (1, 1), False, "-8/1"),
+    ],
+    (4, True): [
+        ("S3_2", (1, 1), True, "-6/1"),
+        ("S2_2", (2, 2), False, "-14/1"),
+        ("S3_2", (1, 1), False, "6/1"),
+        ("S2_2", (1, 1), False, "14/1"),
+        ("S4", (3, 2, 3), False, "-18/1"),
+        ("S6", (3, 2, 3, 2, 2), False, "-38/1"),
+        ("S2_2", (1, 1), False, "-8/1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed,reverse", sorted(PINNED_TERMS))
+def test_certificate_terms_pinned(capsys, seed, reverse):
+    argv = ["p1", str(fixture_path("cp2_9.facets")), "--json",
+            "--certificate", "--seed", str(seed)]
+    code, out, _ = run_cli(capsys, *argv,
+                           *(["--reverse-orientation"] if reverse else []))
+    assert code == 0
+    terms = json.loads(out)["certificate"]["terms"]
+    assert [(t["kind"], tuple(t["params"]), t["mirrored"], t["coeff"])
+            for t in terms] == PINNED_TERMS[seed, reverse]
 
 
 def test_c0_cycle_round_trip(capsys, tmp_path):

@@ -65,14 +65,6 @@ def test_link_of_reversed_ambient_is_mirrored():
     assert cx.oriented_link(octa.reverse(), 1) == cx.oriented_link(octa, 1).reverse()
 
 
-def test_star_and_full_subcomplex():
-    d3 = cx.boundary_simplex(3)
-    assert cx.full_subcomplex(d3.complex, d3.vertices).facets == d3.facets
-    octa = oriented(OCTAHEDRON)
-    sub = cx.full_subcomplex(octa.complex, (1, 6))  # antipodal pair
-    assert sub.facets == frozenset({(1,), (6,)})
-
-
 def test_join_cone_suspension():
     sq = cx.join(cx.SimplicialComplex([(1,), (2,)]),
                  cx.SimplicialComplex([(3,), (4,)]))

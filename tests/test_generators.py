@@ -104,6 +104,17 @@ def test_alpha5_pentagon(octahedron):
         gen.build_alpha5(octahedron, 1, 3, 6, 4)  # not the two-triangle pattern
 
 
+def test_alpha5_rejects_a_lone_edge():
+    """Triangles 124 and 134 are facets and 123, 234 are not, but 23 is an
+    edge: the full subcomplex on 1..4 has a lone edge beside the two
+    triangles, so (1, 2, 4, 3) is no alpha5 anchor; (2, 1, 4, 6) is."""
+    L = oriented([(1, 2, 4), (1, 3, 4), (2, 3, 6), (3, 4, 6), (2, 4, 6),
+                  (1, 2, 5), (2, 3, 5), (1, 3, 5)])
+    with pytest.raises(gen.AnchorConfigurationInvalid):
+        gen.classify_alpha5(L, 1, 2, 4, 3)
+    assert gen.classify_alpha5(L, 2, 1, 4, 6)[0].kind == "S5"
+
+
 def test_alpha6_pentagon(stacked6):
     g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
     assert g.spec == spec("S6", 2, 2, 2, 2, 2)

@@ -87,6 +87,7 @@ def test_eliminator_relations():
     assert e.insert(1, {"b": Fraction(1)}) is None
     rel = e.insert(2, {"a": Fraction(2), "b": Fraction(1)})
     assert rel is not None
+    rel = e.lift(rel)
     total = {}
     cols = [{"a": Fraction(1), "b": Fraction(2)}, {"b": Fraction(1)},
             {"a": Fraction(2), "b": Fraction(1)}]
@@ -101,6 +102,81 @@ def test_eliminator_relations():
             recon[k] = recon.get(k, 0) + c * q
     assert recon == {"a": Fraction(3), "b": Fraction(1)}
     assert e.express({"z": Fraction(1)}) is None
+
+    # Relations and solutions that are true fractions are reconstructed.
+    f = sv.Eliminator()
+    assert f.insert(0, {"a": 3}) is None
+    assert f.lift(f.insert(1, {"a": 2})) == {0: Fraction(-2, 3), 1: 1}
+    assert f.express({"a": 1}) == {0: Fraction(1, 3)}
+    assert f.express({"a": Fraction(5, 7)}) == {0: Fraction(5, 21)}
+    assert f.insert(2, {"b": Fraction(1, 2), "c": Fraction(-3, 4)}) is None
+    assert f.express({"a": 1, "b": 2, "c": -3}) == {0: Fraction(1, 3), 2: 4}
+
+
+def test_rational_reconstruction():
+    p = sv.PRIMES[0]
+    for q in (Fraction(0), Fraction(-5, 6), Fraction(2**30 - 1, 2**30 - 3)):
+        assert sv.rational(q.numerator * pow(q.denominator, -1, p), p) == q
+    with pytest.raises(sv.UnluckyPrime):
+        sv.rational(10**15 + 38, p)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: these bases decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert n < 3_317_044_064_679_887_385_961_981
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primes_are_prime():
+    assert [_is_prime(n) for n in (2, 97, 561, 2**31 - 1, 2**61 - 3)] == [
+        True, True, False, True, False]
+    assert all(_is_prime(p) for p in sv.PRIMES)
+    assert len(set(sv.PRIMES)) == len(sv.PRIMES)
+
+
+@pytest.mark.parametrize("bad", [5, 7])
+def test_unlucky_prime_is_retried(stacked6, monkeypatch, bad):
+    """Modulo 5 the alpha6 loop lifts to a wrong decomposition that the
+    replay rejects; modulo 7 a coefficient has no small preimage.  Either
+    way the next prime gives the unpatched answer, and with no next prime
+    the solver raises instead of returning."""
+    g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
+    value, cert = sv.evaluate_c0(g.chain, g.registry)
+    monkeypatch.setattr(sv, "PRIMES", (bad,) + sv.PRIMES)
+    v, c = sv.evaluate_c0(g.chain, g.registry)
+    assert v == value and c.to_json() == cert.to_json()
+    monkeypatch.setattr(sv, "PRIMES", (bad,))
+    with pytest.raises(cx.ComplexError, match="no prime"):
+        sv.evaluate_c0(g.chain, g.registry)
+
+
+def test_null_relations_retry_unlucky_prime(stacked6, monkeypatch):
+    columns = [(g.chain, g.value) for g in gen.enumerate_at(stacked6)]
+    assert sv.value_null_violations(columns) == []
+    monkeypatch.setattr(sv, "PRIMES", (5,) + sv.PRIMES)
+    assert sv.value_null_violations(columns) == []
+    monkeypatch.setattr(sv, "PRIMES", (5,))
+    with pytest.raises(cx.ComplexError, match="no prime"):
+        sv.value_null_violations(columns)
 
 
 from hypothesis import given, settings, strategies as st
