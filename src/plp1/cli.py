@@ -87,9 +87,9 @@ def cmd_c0_cycle(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
-        chain, registry = chain_from_json(entries)
+        chain = chain_from_json(entries)
         budget = SolverBudget(radius_max=args.radius_max, seed=args.seed)
-        value, cert = evaluate_c0(chain, registry, budget)
+        value, cert = evaluate_c0(chain, budget=budget)
     except (ComplexError, OSError, ValueError, KeyError) as exc:
         return _fail(args, exc)
     payload = {"c0": str(value), "radius_used": cert.radius_used}

@@ -81,12 +81,12 @@ class SimplicialComplex:
 
     __slots__ = ("facets", "dim", "_hash")
 
-    def __init__(self, facets: Iterable[Simplex], validate: bool = True):
+    def __init__(self, facets: Iterable[Simplex]):
         fset = frozenset(facets)
         if not fset:
             raise ComplexError("empty facet list")
         dims = {len(f) - 1 for f in fset}
-        if validate and len(dims) != 1:
+        if len(dims) != 1:
             raise NotPure(f"facet dimensions {sorted(dims)}")
         object.__setattr__(self, "facets", fset)
         object.__setattr__(self, "dim", max(dims))

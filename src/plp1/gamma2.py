@@ -91,16 +91,10 @@ class Chain1:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients=None):
-        coeffs = {}
-        if coefficients:
-            for k, q in (coefficients.items()
-                         if hasattr(coefficients, "items") else coefficients):
-                q = Fraction(q)
-                if q:
-                    coeffs[k] = coeffs.get(k, Fraction(0)) + q
-                    if not coeffs[k]:
-                        del coeffs[k]
-        self.coefficients = coeffs
+        pairs = coefficients or ()
+        if hasattr(pairs, "items"):
+            pairs = pairs.items()
+        self.coefficients = _sparse_sum((k, Fraction(q)) for k, q in pairs)
 
     def __bool__(self):
         return bool(self.coefficients)
@@ -115,15 +109,9 @@ class Chain1:
         return self.coefficients.items()
 
     def __add__(self, other: "Chain1") -> "Chain1":
-        out = dict(self.coefficients)
-        for k, q in other.coefficients.items():
-            s = out.get(k, Fraction(0)) + q
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
         c = Chain1()
-        c.coefficients = out
+        c.coefficients = _sparse_sum(other.coefficients.items(),
+                                     dict(self.coefficients))
         return c
 
     def __sub__(self, other: "Chain1") -> "Chain1":
@@ -159,58 +147,58 @@ class Chain1:
         return out
 
 
+def _sparse_sum(pairs, out=None) -> dict:
+    """Add each (key, value) pair into ``out`` (a new dict by default);
+    a key whose sum is zero is dropped.  The one accumulation rule of
+    chains and boundaries."""
+    out = {} if out is None else out
+    for k, q in pairs:
+        v = out.get(k, 0) + q
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
 def single_edge(key: EdgeKey, sign: int) -> Chain1:
     return Chain1({key: Fraction(sign)})
 
 
 def mirror_chain(c: Chain1) -> Chain1:
-    out = {}
-    for k, q in c.coefficients.items():
-        mk, s = k.mirror()
-        v = out.get(mk, Fraction(0)) + q * s
-        if v:
-            out[mk] = v
-        else:
-            out.pop(mk, None)
     res = Chain1()
-    res.coefficients = out
+    res.coefficients = _sparse_sum((mk, q * s)
+                                   for k, q in c.coefficients.items()
+                                   for mk, s in (k.mirror(),))
     return res
 
 
 def boundary(c: Chain1) -> dict:
     """Sparse boundary on sphere codes; loop edges contribute nothing."""
-    out: dict = {}
-    for k, q in c.coefficients.items():
-        for code, s in ((k.b.code, q), (k.a.code, -q)):
-            v = out.get(code, Fraction(0)) + s
-            if v:
-                out[code] = v
-            else:
-                out.pop(code, None)
-    return out
+    return _sparse_sum(pair for k, q in c.coefficients.items()
+                       for pair in ((k.b.code, q), (k.a.code, -q)))
 
 
 def is_cycle(c: Chain1) -> bool:
     return not boundary(c)
 
 
-def chain_from_json(entries: Iterable[dict]):
-    """Rebuild a chain (and representative spheres) from its JSON form.
+def chain_from_json(entries: Iterable[dict]) -> Chain1:
+    """Rebuild a chain from its JSON form.
 
-    Endpoint complexes are reconstructed from their canonical codes, so the
-    mirror data of each edge can be recomputed; returns (chain, registry)
-    where registry maps codes to oriented complexes.  Raises
-    ChainFormatError, naming the entry, on anything but a list of
+    Each endpoint sphere is rebuilt from its canonical code, once per code,
+    only to recompute the edge's mirror data; no sphere is handed out, since
+    ``evaluate_c0`` rebuilds any code it is not given a complex for.
+    Raises ChainFormatError, naming the entry, on anything but a list of
     {"edge": {...}, "coeff": "p/q"} entries.
     """
-    registry: dict = {}
+    spheres: dict = {}
 
     def end(code_hex: str, orbit) -> EndPoint:
         code = bytes.fromhex(code_hex)
-        L = registry.get(code)
+        L = spheres.get(code)
         if L is None:
-            L = canonical.complex_from_code(code)
-            registry[code] = L
+            L = spheres[code] = canonical.complex_from_code(code)
         return EndPoint(code, tuple(orbit),
                         canonical.mirror_code_bytes(L),
                         _transport_orbit(L, tuple(orbit)))
@@ -230,7 +218,7 @@ def chain_from_json(entries: Iterable[dict]):
                 ZeroDivisionError) as exc:
             raise ChainFormatError(
                 f"entry {i}: {type(exc).__name__}: {exc}") from None
-    return Chain1(items), registry
+    return Chain1(items)
 
 
 def _transport_orbit(L: OrientedComplex, orbit: tuple) -> tuple:
@@ -242,19 +230,21 @@ def _transport_orbit(L: OrientedComplex, orbit: tuple) -> tuple:
     return canonical.mirror_orbit(L, simplex)
 
 
-def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move]):
+def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move]) -> Chain1:
     """Signed sum of the edges of a closed move loop, inessential steps
     dropped; raises LoopNotClosed unless the replay returns to a sphere
-    orientation-preservingly isomorphic to the start."""
+    orientation-preservingly isomorphic to the start.
+
+    The result is a cycle with no further check: each kept step adds
+    code(after) - code(before) to the boundary and a dropped step has equal
+    codes, so the boundary telescopes to code(final) - code(L0) = 0.  No
+    sphere is handed out; ``evaluate_c0`` rebuilds each code it meets."""
     edges = []
-    registry = {}
     final = L0
     for state, m, final in MoveSequence(L0, moves).replay():
-        registry[canonical.code_bytes(state)] = state
-        registry[canonical.code_bytes(final)] = final
         e = edge_of_move(state, m, L2=final)
         if e is not None:
             edges.append(e)
     if canonical.code_bytes(final) != canonical.code_bytes(L0):
         raise LoopNotClosed("replay does not return to the initial sphere")
-    return Chain1(edges), registry
+    return Chain1(edges)

@@ -23,17 +23,13 @@ from typing import Iterable, Optional
 
 from . import canonical
 from .complexes import ComplexError, OrientedComplex, Simplex
-from .gamma2 import Chain1, is_cycle, loop_to_chain
+from .gamma2 import Chain1, loop_to_chain
 from .moves import (Move, MoveNotAdmissible, MoveSequence, admissible_moves,
                     make_move)
 
 
 class AnchorConfigurationInvalid(ComplexError):
     pass
-
-
-KINDS = ("S1_0", "S1_1", "S1_2", "S2_0", "S2_1", "S2_2",
-         "S3_0", "S3_1", "S3_2", "S4", "S5", "S6")
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,6 @@ class GeneratorChain:
     bit: int
     chain: Chain1
     loop: MoveSequence
-    registry: dict
 
     @property
     def value(self) -> Fraction:
@@ -182,11 +177,10 @@ def _finish(L: OrientedComplex, moves, spec: GeneratorSpec, bit: int) -> Generat
     The replay in ``loop_to_chain`` is the one place where the moves are
     applied: ``apply_move`` accepts a move only if it is the one
     ``make_move`` derives on the replayed state, so a wrong cofactor raises
-    MoveNotAdmissible there."""
-    chain, registry = loop_to_chain(L, moves)
-    if not is_cycle(chain):
-        raise AnchorConfigurationInvalid("generator loop is not a cycle")
-    return GeneratorChain(spec, bit, chain, MoveSequence(L, moves), registry)
+    MoveNotAdmissible there, and a loop that does not close raises
+    LoopNotClosed."""
+    return GeneratorChain(spec, bit, loop_to_chain(L, moves),
+                          MoveSequence(L, moves))
 
 
 # ---------------------------------------------------------------- alpha 1

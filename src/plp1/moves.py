@@ -250,22 +250,12 @@ class MoveSequence:
         return json.dumps([m.to_json() for m in self.moves])
 
     @staticmethod
-    def moves_from_json(text: str) -> list:
-        out = []
-        for item in json.loads(text):
-            d1 = tuple(sorted(item["delta1"]))
-            if "new_vertex" in item:
-                out.append((d1, item["new_vertex"]))
-            else:
-                out.append((d1, None))
-        return out
-
-    @staticmethod
     def from_json(initial: OrientedComplex, text: str) -> "MoveSequence":
         state = initial
         moves = []
-        for d1, nv in MoveSequence.moves_from_json(text):
-            m = make_move(state, d1, new_vertex=nv)
+        for item in json.loads(text):
+            m = make_move(state, tuple(sorted(item["delta1"])),
+                          new_vertex=item.get("new_vertex"))
             moves.append(m)
             state = apply_move(state, m)
         return MoveSequence(initial, moves)

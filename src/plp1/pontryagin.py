@@ -43,14 +43,13 @@ class Manifold4Input:
 @dataclass
 class VerificationReport:
     links: Dict[int, MoveSequence] = field(default_factory=dict)
-    link_sizes: Dict[int, tuple] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"links": [
-            {"vertex": v, "vertices": self.link_sizes[v][0],
-             "facets": self.link_sizes[v][1],
-             "reduction_moves": len(self.links[v])}
-            for v in sorted(self.links)]}
+            {"vertex": v, "vertices": len(seq.initial.vertices),
+             "facets": len(seq.initial.facets),
+             "reduction_moves": len(seq)}
+            for v, seq in sorted(self.links.items())]}
 
 
 def verify_4manifold(K: Manifold4Input,
@@ -61,7 +60,6 @@ def verify_4manifold(K: Manifold4Input,
     report = VerificationReport()
     links = oriented_links(oc, oc.vertices)
     for v, lk in links.items():
-        report.link_sizes[v] = (len(lk.vertices), len(lk.facets))
         try:
             require_closed(lk.complex)
         except ComplexError as exc:

@@ -3,7 +3,7 @@
 Greedy descent on the lexicographic objective (vertex count, facet count)
 with Metropolis-accepted uphill moves when stuck, restarted from derived
 seeds.  A run certifies only when the final complex has n+2 vertices and
-facets and is isomorphic to the boundary of the (n+1)-simplex; failure to
+n+2 facets, which makes it the boundary of the (n+1)-simplex; failure to
 certify within budget is an explicit error, never a wrong answer.
 """
 from __future__ import annotations
@@ -12,8 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .canonical import iso_generic
-from .complexes import ComplexError, OrientedComplex, boundary_simplex
+from .complexes import ComplexError, OrientedComplex
 from .moves import Move, MoveSequence, admissible_moves, apply_move
 
 
@@ -41,9 +40,10 @@ class ReductionConfig:
 
 
 def _is_target(L: OrientedComplex) -> bool:
+    """The boundary of the (n+1)-simplex: n+2 vertices span exactly n+2
+    distinct n-simplices, so n+2 facets on them are all of them."""
     n = L.dim
-    return (len(L.vertices) == n + 2 and len(L.facets) == n + 2
-            and iso_generic(L, boundary_simplex(n + 1)) is not None)
+    return len(L.vertices) == n + 2 and len(L.facets) == n + 2
 
 
 def _objective(L: OrientedComplex) -> int:

@@ -121,8 +121,8 @@ def suite_equivariance(seed: int = 0):
     for g in _fixture_loops():
         if not g.chain:
             continue
-        v1, _ = evaluate_c0(g.chain, g.registry)
-        v2, _ = evaluate_c0(mirror_chain(g.chain), {})
+        v1, _ = evaluate_c0(g.chain)
+        v2, _ = evaluate_c0(mirror_chain(g.chain))
         checked += 1
         if v1 != g.value or v2 != -v1:
             failures += 1

@@ -204,6 +204,11 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
                 budget: Optional[SolverBudget] = None):
     """Exact value of the pricing class on a cycle, plus its certificate.
 
+    ``registry`` maps codes to the complexes ``assemble_p1_cycle`` met;
+    the solver's anchors are labelled as there, which fixes the
+    certificate found.  Any other code under the cycle is rebuilt from the
+    code itself with ``canonical.complex_from_code``.
+
     Raises NotACycle for non-cycles, NoDecompositionWithinBudget when the
     expanding candidate search fails, and ComplexError when no prime of
     PRIMES yields a decomposition that replays exactly; every returned

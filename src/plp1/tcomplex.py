@@ -15,6 +15,7 @@ from typing import Dict, Iterable
 from . import canonical
 from .complexes import (ComplexError, OrientedComplex, Simplex,
                         oriented_link, oriented_link_simplex)
+from .gamma2 import _sparse_sum
 from .moves import Move, apply_move, build_L_beta, induced_vertex_moves
 
 
@@ -96,18 +97,9 @@ def f_sharp(f: LocalFunction, K: OrientedComplex) -> Dict[Simplex, Fraction]:
 
 
 def chain_boundary(chain: Dict[Simplex, Fraction]) -> Dict[Simplex, Fraction]:
-    out: Dict[Simplex, Fraction] = {}
-    for s, q in chain.items():
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            if not face:
-                continue
-            v = out.get(face, Fraction(0)) + q * (-1) ** i
-            if v:
-                out[face] = v
-            else:
-                out.pop(face, None)
-    return out
+    return _sparse_sum((s[:i] + s[i + 1:], q * (-1) ** i)
+                       for s, q in chain.items() if len(s) > 1
+                       for i in range(len(s)))
 
 
 def is_cycle_fsharp(f: LocalFunction, K: OrientedComplex) -> bool:

@@ -152,6 +152,88 @@ def test_c0_cycle_round_trip(capsys, tmp_path):
     assert json.loads(out)["c0"] == "1/6"
 
 
+# ``plp1 c0-cycle <file> --json --certificate --seed S`` on two chain files
+# written by ``Chain1.to_json``, keyed by (chain, S): c0, the certificate
+# value, columns_seen, radius_used and the certificate terms (kind, params,
+# mirrored, coeff).
+PINNED_C0_CYCLE = {
+    ("alpha6", 0): ("1/6", "1/6", 29, 0, [("S5", (3, 2, 2, 3), False, "-5/1")]),
+    ("alpha6", 3): ("1/6", "1/6", 29, 0, [
+        ("S5", (2, 3, 3, 2), False, "-5/1"),
+        ("S2_2", (1, 2), True, "-5/1"),
+        ("S2_2", (1, 2), False, "5/1"),
+    ]),
+    ("cp2_9", 0): ("6", "6/1", 221, 0, [
+        ("S5", (3, 2, 2, 3), False, "-18/1"),
+        ("S6", (2, 2, 2, 3, 3), False, "57/1"),
+        ("S4", (2, 4, 3), False, "-51/1"),
+        ("S5", (3, 3, 3, 3), False, "-35/1"),
+        ("S4", (3, 2, 3), False, "18/1"),
+        ("S2_0", (), True, "-51/1"),
+        ("S1_1", (1, 1), True, "-70/1"),
+        ("S4", (2, 4, 4), False, "51/1"),
+        ("S2_1", (1, 1), False, "-35/1"),
+        ("S2_1", (1, 1), True, "35/1"),
+        ("S2_1", (2, 1), False, "51/1"),
+        ("S1_1", (1, 2), False, "-51/1"),
+        ("S1_1", (1, 1), False, "70/1"),
+    ]),
+    ("cp2_9", 3): ("6", "6/1", 221, 0, [
+        ("S2_2", (1, 1), False, "-22/1"),
+        ("S2_2", (2, 2), False, "-53/1"),
+        ("S6", (2, 2, 2, 2, 2), False, "93/5"),
+        ("S4", (2, 3, 3), True, "41/1"),
+        ("S2_2", (1, 2), False, "-35/1"),
+        ("S1_1", (1, 1), True, "35/1"),
+        ("S5", (4, 2, 2, 4), False, "-35/1"),
+        ("S1_1", (1, 2), True, "35/1"),
+        ("S4", (2, 3, 3), False, "-41/1"),
+        ("S5", (2, 2, 3, 3), False, "35/1"),
+        ("S2_2", (3, 1), False, "-35/1"),
+        ("S5", (3, 2, 2, 4), True, "-35/1"),
+        ("S5", (3, 2, 2, 4), False, "35/1"),
+        ("S1_2", (1, 3), True, "-35/1"),
+        ("S1_2", (1, 3), False, "35/1"),
+        ("S2_2", (2, 2), False, "-35/1"),
+        ("S5", (2, 3, 4, 3), True, "-35/1"),
+    ]),
+}
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory):
+    """The alpha6 chain of STACKED6 and the seed-0 cycle of cp2_9, each
+    written by ``Chain1.to_json``."""
+    from plp1 import generators as gen
+    from plp1 import pontryagin as pt
+    from plp1.fixtures import cp2_9
+    from plp1.reduction import ReductionConfig
+    from conftest import STACKED6, oriented
+    K = pt.Manifold4Input(cp2_9())
+    report = pt.verify_4manifold(K, ReductionConfig(seed=0))
+    gamma, _ = pt.assemble_p1_cycle(K, report.links)
+    chains = {"alpha6": gen.build_alpha6(oriented(STACKED6), 1, 2, 3, 4, 5).chain,
+              "cp2_9": gamma}
+    root = tmp_path_factory.mktemp("chains")
+    for name, chain in chains.items():
+        (root / f"{name}.json").write_text(json.dumps(chain.to_json()))
+    return root
+
+
+@pytest.mark.parametrize("chain,seed", sorted(PINNED_C0_CYCLE))
+def test_c0_cycle_certificate_pinned(capsys, chain_files, chain, seed):
+    c0, value, columns, radius, terms = PINNED_C0_CYCLE[chain, seed]
+    code, out, _ = run_cli(capsys, "c0-cycle", str(chain_files / f"{chain}.json"),
+                           "--json", "--certificate", "--seed", str(seed))
+    assert code == 0
+    certificate = {
+        "columns_seen": columns, "radius_used": radius, "value": value,
+        "terms": [{"coeff": q, "kind": k, "mirrored": mir, "params": list(p)}
+                  for k, p, mir, q in terms]}
+    expected = {"c0": c0, "certificate": certificate, "radius_used": radius}
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
 def test_computation_failure_exits_one(capsys, tmp_path):
     import conftest
     from plp1.complexes import suspension

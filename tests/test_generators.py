@@ -231,6 +231,7 @@ def test_generator_families_are_pinned(cp2_cycle_spheres):
         chains = gen.enumerate_at(L)
         per_sphere.append(len(chains))
         for g in chains:
+            assert g2.is_cycle(g.chain)
             family = g.spec.kind[:2]
             per_family[family] = per_family.get(family, 0) + 1
             for state, m, _ in g.loop.replay():

@@ -9,6 +9,7 @@ from plp1 import canonical as canon
 from plp1 import complexes as cx
 from plp1 import gamma2 as g2
 from plp1 import moves as mv
+from plp1 import reduction as red
 from plp1.fixtures import cp2_9, link_L, sequence_9
 
 from conftest import BIPYRAMID, OCTAHEDRON, oriented
@@ -228,8 +229,13 @@ def test_forward_replay_walked_backwards_is_the_inverse_replay():
     assert walked == list(inverse.replay())
 
 
-def test_moves_imports_only_complexes():
-    tree = ast.parse(Path(mv.__file__).read_text())
+@pytest.mark.parametrize("module,allowed", [
+    (mv, {"complexes"}),
+    (red, {"complexes", "moves"}),
+], ids=["moves", "reduction"])
+def test_layered_imports(module, allowed):
+    """The move kernel and the reduction import only the layers below."""
+    tree = ast.parse(Path(module.__file__).read_text())
     local = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -238,7 +244,7 @@ def test_moves_imports_only_complexes():
             assert not node.module.startswith("plp1")
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("plp1") for a in node.names)
-    assert local == {"complexes"}
+    assert local == allowed
 
 
 def _random_walk_signs_agree(L, steps, rng):

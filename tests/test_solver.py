@@ -25,13 +25,13 @@ def test_not_a_cycle_rejected(stacked6):
 def test_single_alpha4_loop(stacked6):
     d3 = cx.boundary_simplex(3)
     g = gen.build_alpha4(d3, 1, 2, 3)
-    value, cert = sv.evaluate_c0(g.chain, g.registry)
+    value, cert = sv.evaluate_c0(g.chain)
     assert value == 0
 
 
 def test_single_alpha6_loop(stacked6):
     g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
-    value, cert = sv.evaluate_c0(g.chain, g.registry)
+    value, cert = sv.evaluate_c0(g.chain)
     assert value == Fraction(1, 6)
     assert cert.residual(g.chain) == g2.Chain1()
 
@@ -40,8 +40,7 @@ def test_shuffle_invariance(stacked6):
     g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
     values = set()
     for seed in (0, 1, 2, 3):
-        v, _ = sv.evaluate_c0(g.chain, g.registry,
-                              sv.SolverBudget(seed=seed))
+        v, _ = sv.evaluate_c0(g.chain, budget=sv.SolverBudget(seed=seed))
         values.add(v)
     assert values == {Fraction(1, 6)}
 
@@ -51,7 +50,7 @@ def test_equivariance(stacked6, bipyramid):
         for g in gen.enumerate_at(L)[:8]:
             if not g.chain:
                 continue
-            v, _ = sv.evaluate_c0(g.chain, g.registry)
+            v, _ = sv.evaluate_c0(g.chain)
             mv_, _ = sv.evaluate_c0(g2.mirror_chain(g.chain), {})
             assert mv_ == -v
 
@@ -60,15 +59,15 @@ def test_linearity(stacked6):
     gs = [g for g in gen.enumerate_at(stacked6) if g.chain][:2]
     a, b = Fraction(3), Fraction(-7, 2)
     combo = gs[0].chain.scale(a) + gs[1].chain.scale(b)
-    v, _ = sv.evaluate_c0(combo, {**gs[0].registry, **gs[1].registry})
-    v0, _ = sv.evaluate_c0(gs[0].chain, gs[0].registry)
-    v1, _ = sv.evaluate_c0(gs[1].chain, gs[1].registry)
+    v, _ = sv.evaluate_c0(combo)
+    v0, _ = sv.evaluate_c0(gs[0].chain)
+    v1, _ = sv.evaluate_c0(gs[1].chain)
     assert v == a * v0 + b * v1
 
 
 def test_certificate_json(stacked6):
     g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
-    _, cert = sv.evaluate_c0(g.chain, g.registry)
+    _, cert = sv.evaluate_c0(g.chain)
     blob = cert.to_json()
     assert blob["value"] == "1/6"
     assert isinstance(blob["terms"], list) and blob["terms"]
@@ -78,7 +77,7 @@ def test_budget_exhaustion_reported(stacked6, monkeypatch):
     g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
     monkeypatch.setattr(sv, "enumerate_at", lambda L: gen.enumerate_at(L, {"S1"}))
     with pytest.raises(sv.NoDecompositionWithinBudget):
-        sv.evaluate_c0(g.chain, g.registry, sv.SolverBudget(radius_max=0))
+        sv.evaluate_c0(g.chain, budget=sv.SolverBudget(radius_max=0))
 
 
 def test_eliminator_relations():
@@ -160,13 +159,13 @@ def test_unlucky_prime_is_retried(stacked6, monkeypatch, bad):
     way the next prime gives the unpatched answer, and with no next prime
     the solver raises instead of returning."""
     g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
-    value, cert = sv.evaluate_c0(g.chain, g.registry)
+    value, cert = sv.evaluate_c0(g.chain)
     monkeypatch.setattr(sv, "PRIMES", (bad,) + sv.PRIMES)
-    v, c = sv.evaluate_c0(g.chain, g.registry)
+    v, c = sv.evaluate_c0(g.chain)
     assert v == value and c.to_json() == cert.to_json()
     monkeypatch.setattr(sv, "PRIMES", (bad,))
     with pytest.raises(cx.ComplexError, match="no prime"):
-        sv.evaluate_c0(g.chain, g.registry)
+        sv.evaluate_c0(g.chain)
 
 
 def test_null_relations_retry_unlucky_prime(stacked6, monkeypatch):
