@@ -112,7 +112,8 @@ def _code_from_root(rot: dict, u, w, best=None):
 
 
 def _min_code(rot: dict):
-    """Lexicographic minimum over rooted codes.  A code rooted at (u, w)
+    """Lexicographic minimum over rooted codes, as bytes, with every
+    labeling that achieves it.  A code rooted at (u, w)
     opens with the block (deg u, 1, ..., deg u) and then a block opening
     with deg w, so only roots of least deg u and, among those, of least
     deg w can achieve it.  Raises NotA2Sphere when the first traversal
@@ -138,11 +139,12 @@ def _min_code(rot: dict):
             best, labelings = blocks, [label]
         elif blocks == best:
             labelings.append(label)
-    return tuple(x for block in best for x in block), labelings
+    return bytes(x for block in best for x in block), labelings
 
 
 class SphereData:
-    """Cached canonical data of one oriented 2-sphere."""
+    """Cached canonical data of one oriented 2-sphere: its code and mirror
+    code as bytes, the labelings achieving each, and its rotation system."""
 
     __slots__ = ("code", "labelings", "mirror_code", "mirror_labelings", "rot")
 
@@ -181,11 +183,16 @@ def sphere_data(L: OrientedComplex) -> SphereData:
 
 
 def code_bytes(L: OrientedComplex) -> bytes:
-    return bytes(sphere_data(L).code)
+    return sphere_data(L).code
 
 
 def mirror_code_bytes(L: OrientedComplex) -> bytes:
-    return bytes(sphere_data(L).mirror_code)
+    return sphere_data(L).mirror_code
+
+
+def _relabel(lab: dict, s: Simplex) -> tuple:
+    """A simplex in the labels of one code-minimising labeling, sorted."""
+    return tuple(sorted(lab[v] for v in s))
 
 
 def canonical_orbit(L: OrientedComplex, s: Simplex) -> tuple:
@@ -194,14 +201,29 @@ def canonical_orbit(L: OrientedComplex, s: Simplex) -> tuple:
     The minimum over all code-minimising labelings of the relabeled sorted
     tuple; equal across any orientation-preserving isomorphism.
     """
-    data = sphere_data(L)
-    return min(tuple(sorted(lab[v] for v in s)) for lab in data.labelings)
+    return min(_relabel(lab, s) for lab in sphere_data(L).labelings)
+
+
+def anchor_orbit(L: OrientedComplex, anchor, unordered: bool = False) -> tuple:
+    """Aut(L)-orbit of a tuple of simplices, written in canonical labels.
+
+    One joint minimum over all code-minimising labelings of the whole
+    tuple, each simplex relabeled as in ``canonical_orbit``; with
+    ``unordered`` the relabeled simplices are sorted first.  Two tuples
+    get equal orbits iff an orientation-preserving automorphism of L maps
+    one onto the other (onto a reordering of it, when unordered).  A tuple
+    of per-simplex orbits would not do: every facet of the octahedron has
+    the same orbit, but not every pair of facets.
+    """
+    def image(lab):
+        parts = [_relabel(lab, s) for s in anchor]
+        return tuple(sorted(parts) if unordered else parts)
+    return min(map(image, sphere_data(L).labelings))
 
 
 def mirror_orbit(L: OrientedComplex, s: Simplex) -> tuple:
     """Orbit descriptor of a simplex on the orientation-reversed sphere."""
-    data = sphere_data(L)
-    return min(tuple(sorted(lab[v] for v in s)) for lab in data.mirror_labelings)
+    return min(_relabel(lab, s) for lab in sphere_data(L).mirror_labelings)
 
 
 def is_symmetric_2sphere(L: OrientedComplex) -> bool:

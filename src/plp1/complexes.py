@@ -261,13 +261,11 @@ def extend_orientation(facets, seed_signs: Mapping[Simplex, int]) -> dict:
     return signs
 
 
-def orient(K: SimplicialComplex, first_facet_sign: int = 1) -> OrientedComplex:
+def orient(K: SimplicialComplex) -> OrientedComplex:
     """Globally consistent orientation found by ridge-adjacency traversal,
-    seeded on the lexicographically least facet."""
+    seeded with +1 on the lexicographically least facet."""
     require_closed(K)
-    seed = min(K.facets)
-    signs = extend_orientation(K.facets, {seed: first_facet_sign})
-    return OrientedComplex(K, signs)
+    return OrientedComplex(K, extend_orientation(K.facets, {min(K.facets): 1}))
 
 
 def oriented_link(L: OrientedComplex, v: int) -> OrientedComplex:

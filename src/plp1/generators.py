@@ -7,7 +7,9 @@ space of the graph of 2-spheres.  Each loop, classified by the local
 configuration of its anchors, carries a closed-form rational value; the
 solver prices arbitrary cycles by exact decomposition over these.  A loop
 is written down as a fixed list of moves from its anchor sphere; the one
-replay in ``gamma2.loop_to_chain`` applies and checks them.
+replay in ``gamma2.loop_to_chain`` applies and checks them.  A loop's chain
+is label-free, so ``enumerate_at`` builds one anchor per orbit of the
+sphere's orientation-preserving automorphisms.
 
 Chirality conventions (which arc of a vertex star is counted as p, which
 endpoint of a shared edge is x) are fixed here once and guarded by the
@@ -406,50 +408,36 @@ def build_alpha6(L: OrientedComplex, x, y, z, u, v) -> GeneratorChain:
 
 # ---------------------------------------------------------------- surveys
 
-def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
-    """All priced generator chains anchored at L, deduplicated by chain.
+FAMILIES = ("S1", "S2", "S3", "S4", "S5", "S6")
 
-    ``kinds`` filters by family name prefix ("S1".."S6"); unclassifiable
-    configurations are skipped since they carry no value.
-    """
-    want = set(kinds) if kinds is not None else {"S1", "S2", "S3", "S4", "S5", "S6"}
-    want = {k[:2] for k in want}
-    out = []
-    seen = set()
 
-    def push(builder, *anchor):
-        try:
-            g = builder(L, *anchor)
-        except (AnchorConfigurationInvalid, MoveNotAdmissible):
-            return
-        rep, _ = g.chain.normalized()
-        key = rep.frozen()
-        if key and key not in seen:
-            seen.add(key)
-            out.append(g)
-
+def _anchors(L: OrientedComplex, families):
+    """(builder, anchor, unordered) for every anchor of the given families
+    at L, in the order ``enumerate_at`` tries them.  ``unordered`` marks
+    the pair families α1 and α3: the swapped pair replays the reverse
+    loop, whose chain is the negated one."""
     facets = sorted(L.facets)
     adm = sorted(m.delta1 for m in admissible_moves(L) if len(m.delta1) == 2)
-    if "S1" in want:
+    if "S1" in families:
         for t1, t2 in itertools.combinations(facets, 2):
-            push(build_alpha1, t1, t2)
-    if "S2" in want:
+            yield build_alpha1, (t1, t2), True
+    if "S2" in families:
         for t in facets:
             for e in adm:
                 if not set(e) <= set(t):
-                    push(build_alpha2, t, e)
-    if "S3" in want:
+                    yield build_alpha2, (t, e), False
+    if "S3" in families:
         for e1, e2 in itertools.combinations(adm, 2):
-            push(build_alpha3, e1, e2)
-    if "S4" in want:
+            yield build_alpha3, (e1, e2), True
+    if "S4" in families:
         for u in L.vertices:
             if _degree(L, u) == 3:
                 cyc = _link_cycle(L, u)
                 for roll in range(3):
                     x, y, z = cyc[roll:] + cyc[:roll]
-                    push(build_alpha4, x, y, z)
-                    push(build_alpha4, x, z, y)
-    if "S5" in want:
+                    yield build_alpha4, (x, y, z), False
+                    yield build_alpha4, (x, z, y), False
+    if "S5" in families:
         for e in sorted(L.complex.faces(1)):
             x0, z0 = e
             tips = sorted({v for f in L.facets if set(e) <= set(f)
@@ -458,8 +446,8 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
                 continue
             for x, z in ((x0, z0), (z0, x0)):
                 for y, u in (tips, tips[::-1]):
-                    push(build_alpha5, x, y, z, u)
-    if "S6" in want:
+                    yield build_alpha5, (x, y, z, u), False
+    if "S6" in families:
         for x in L.vertices:
             cyc = _link_cycle(L, x)
             if len(cyc) < 4:
@@ -467,7 +455,47 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
             for ordered in (cyc, cyc[::-1]):
                 for i in range(len(ordered)):
                     window = [ordered[(i + j) % len(ordered)] for j in range(4)]
-                    push(build_alpha6, x, *window)
+                    yield build_alpha6, (x, *window), False
+
+
+def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
+    """All priced generator chains anchored at L, deduplicated by chain.
+
+    ``kinds`` names the families to build (``FAMILIES`` by default); an
+    unknown name raises ValueError.  Unclassifiable configurations are
+    skipped since they carry no value.
+
+    A chain is written in canonical codes and orbits, so anchors that an
+    orientation-preserving automorphism of L maps onto each other give the
+    same spec, bit and chain.  Each anchor is therefore built once per
+    Aut(L)-orbit (``canonical.anchor_orbit``, unordered for α1 and α3,
+    whose swapped pair gives the negated chain).  An orbit-mate tried
+    later would give a chain already kept, so the result is the one every
+    anchor built in turn would give.
+    """
+    want = set(FAMILIES if kinds is None else kinds)
+    unknown = sorted(want - set(FAMILIES))
+    if unknown:
+        raise ValueError(f"unknown generator families {unknown}")
+    out = []
+    seen = set()
+    tried = set()
+    for builder, anchor, unordered in _anchors(L, want):
+        # a vertex anchor is relabeled as its 0-simplex
+        faces = [a if isinstance(a, tuple) else (a,) for a in anchor]
+        orbit = (builder, canonical.anchor_orbit(L, faces, unordered))
+        if orbit in tried:
+            continue
+        tried.add(orbit)
+        try:
+            g = builder(L, *anchor)
+        except (AnchorConfigurationInvalid, MoveNotAdmissible):
+            continue
+        rep, _ = g.chain.normalized()
+        key = rep.frozen()
+        if key and key not in seen:
+            seen.add(key)
+            out.append(g)
     return out
 
 

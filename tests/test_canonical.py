@@ -94,7 +94,7 @@ def test_code_is_least_over_all_roots(stacked6):
                 blocks, label = canon._code_from_root(data.rot, u, w)
                 codes.setdefault(sum(blocks, ()), []).append(label)
         least = min(codes)
-        assert data.code == least
+        assert data.code == bytes(least)
         assert len(data.labelings) == len(codes[least])
         assert all(lab in codes[least] for lab in data.labelings)
         L = mv.apply_move(L, rng.choice(mv.admissible_moves(L)))

@@ -34,8 +34,10 @@ def test_link_table_is_closed_3_pseudomanifold():
 
 def test_orientations_of_boundary_simplex():
     K = cx.boundary_simplex(3).complex
-    plus = cx.orient(K, 1)
-    minus = cx.orient(K, -1)
+    seed = min(K.facets)
+    plus = cx.OrientedComplex(K, cx.extend_orientation(K.facets, {seed: 1}))
+    minus = cx.OrientedComplex(K, cx.extend_orientation(K.facets, {seed: -1}))
+    assert plus == cx.orient(K)
     assert minus == plus.reverse()
     assert {plus.signs[f] * minus.signs[f] for f in K.facets} == {-1}
 

@@ -138,6 +138,13 @@ def test_enumerate_filters():
     assert only_s5 and all(g.spec.kind == "S5" for g in only_s5)
 
 
+@pytest.mark.parametrize("kinds", [{"S7"}, {"S"}, {"S2", "S7"}])
+def test_enumerate_rejects_unknown_families(octahedron, kinds):
+    bad = sorted(kinds - set(gen.FAMILIES))
+    with pytest.raises(ValueError, match=repr(bad[0])):
+        gen.enumerate_at(octahedron, kinds)
+
+
 def test_mirror_equivariance_of_values(stacked6, bipyramid):
     for L in (stacked6, bipyramid):
         for g in gen.enumerate_at(L)[:12]:
@@ -254,3 +261,73 @@ def test_mirror_sphere_enumerates_mirrored_chains(cp2_cycle_spheres):
             (g2.mirror_chain(g.chain), -g.value) for g in here)
         assert mirrored == _normalized_entries(
             (g.chain, g.value) for g in there)
+
+
+@pytest.fixture(scope="module")
+def anchor_spheres(octahedron, bipyramid, stacked6, cp2_cycle_spheres):
+    """Spheres with 24, 12, 6 and 2 automorphisms, and the cp2_9 cycle."""
+    return [octahedron, cx.boundary_simplex(3), bipyramid, stacked6,
+            *cp2_cycle_spheres]
+
+
+def _automorphisms(L):
+    """Every map labeling_i^-1 . labeling_j other than the identity: the
+    orientation-preserving automorphisms of L."""
+    labs = canon.sphere_data(L).labelings
+    out = {}
+    for a in labs:
+        inv = {c: v for v, c in a.items()}
+        for b in labs:
+            sigma = {v: inv[b[v]] for v in b}
+            if any(sigma[v] != v for v in sigma):
+                out[tuple(sorted(sigma.items()))] = sigma
+    return list(out.values())
+
+
+def _image(sigma, anchor):
+    return tuple(tuple(sorted(sigma[v] for v in a)) if isinstance(a, tuple)
+                 else sigma[a] for a in anchor)
+
+
+def _built(builder, L, anchor):
+    try:
+        g = builder(L, *anchor)
+    except (gen.AnchorConfigurationInvalid, mv.MoveNotAdmissible):
+        return None
+    return g.spec, g.bit, g.chain.normalized()[0]
+
+
+def test_builders_are_invariant_under_automorphisms(anchor_spheres):
+    """The premise of building one anchor per orbit: an automorphism moves
+    no spec, bit or normalized chain, and a swapped pair of the unordered
+    families gives the same normalized chain."""
+    for L in anchor_spheres:
+        sigmas = _automorphisms(L)
+        for builder, anchor, unordered in gen._anchors(L, gen.FAMILIES):
+            here = _built(builder, L, anchor)
+            for sigma in sigmas:
+                assert _built(builder, L, _image(sigma, anchor)) == here
+            if unordered:
+                swapped = _built(builder, L, anchor[::-1])
+                assert (swapped is None) == (here is None)
+                assert swapped is None or swapped[2] == here[2]
+
+
+def test_enumerate_matches_building_every_anchor(anchor_spheres):
+    """Reference: build every anchor in turn and keep the first anchor of
+    each new normalized chain.  A key coarser than the anchor's orbit, such
+    as a tuple of per-simplex orbits, drops chains here."""
+    for L in anchor_spheres:
+        reference, seen = [], set()
+        for builder, anchor, _ in gen._anchors(L, gen.FAMILIES):
+            try:
+                g = builder(L, *anchor)
+            except (gen.AnchorConfigurationInvalid, mv.MoveNotAdmissible):
+                continue
+            key = g.chain.normalized()[0].frozen()
+            if key and key not in seen:
+                seen.add(key)
+                reference.append(g)
+        assert [(g.spec.kind, g.spec.params, g.bit, g.chain)
+                for g in gen.enumerate_at(L)] == \
+            [(g.spec.kind, g.spec.params, g.bit, g.chain) for g in reference]
