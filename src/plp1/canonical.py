@@ -142,9 +142,15 @@ def _min_code(rot: dict):
     return bytes(x for block in best for x in block), labelings
 
 
+def _relabel(lab: dict, s: Simplex) -> tuple:
+    """A simplex in the labels of one code-minimising labeling, sorted."""
+    return tuple(sorted(lab[v] for v in s))
+
+
 class SphereData:
-    """Cached canonical data of one oriented 2-sphere: its code and mirror
-    code as bytes, the labelings achieving each, and its rotation system."""
+    """Canonical data of one oriented 2-sphere: its code and mirror code as
+    bytes, the labelings achieving each, and its rotation system.  The one
+    interface to a sphere's combinatorial type; ``sphere_data`` caches it."""
 
     __slots__ = ("code", "labelings", "mirror_code", "mirror_labelings", "rot")
 
@@ -159,15 +165,31 @@ class SphereData:
             raise NotA2Sphere("Euler characteristic != 2")
         self.mirror_code, self.mirror_labelings = _min_code(_mirror_rotation(self.rot))
 
-    def mirrored(self) -> "SphereData":
-        """The data of the reversed sphere, without a new search: its
-        rotation system is the mirror rotation, so ``_min_code`` would
-        return this sphere's mirror code and labelings, and vice versa."""
-        out = SphereData.__new__(SphereData)
-        out.rot = _mirror_rotation(self.rot)
-        out.code, out.labelings = self.mirror_code, self.mirror_labelings
-        out.mirror_code, out.mirror_labelings = self.code, self.labelings
-        return out
+    def orbit(self, s: Simplex, mirror: bool = False) -> tuple:
+        """Aut-orbit of a simplex, written in canonical labels.
+
+        The minimum over all code-minimising labelings of the relabeled
+        sorted tuple; equal across any orientation-preserving isomorphism.
+        With ``mirror``, the orbit on the orientation-reversed sphere.
+        """
+        labs = self.mirror_labelings if mirror else self.labelings
+        return min(_relabel(lab, s) for lab in labs)
+
+    def anchor_orbit(self, simplices, unordered: bool = False) -> tuple:
+        """Aut-orbit of a tuple of simplices, written in canonical labels.
+
+        One joint minimum over all code-minimising labelings of the whole
+        tuple, each simplex relabeled as in ``orbit``; with ``unordered``
+        the relabeled simplices are sorted first.  Two tuples get equal
+        orbits iff an orientation-preserving automorphism maps one onto the
+        other (onto a reordering of it, when unordered).  A tuple of
+        per-simplex orbits would not do: every facet of the octahedron has
+        the same orbit, but not every pair of facets.
+        """
+        def image(lab):
+            parts = [_relabel(lab, s) for s in simplices]
+            return tuple(sorted(parts) if unordered else parts)
+        return min(map(image, self.labelings))
 
 
 _SPHERE_CACHE: dict = {}
@@ -176,59 +198,8 @@ _SPHERE_CACHE: dict = {}
 def sphere_data(L: OrientedComplex) -> SphereData:
     data = _SPHERE_CACHE.get(L)
     if data is None:
-        rev = _SPHERE_CACHE.get(L.reverse())
-        data = SphereData(L) if rev is None else rev.mirrored()
-        _SPHERE_CACHE[L] = data
+        data = _SPHERE_CACHE[L] = SphereData(L)
     return data
-
-
-def code_bytes(L: OrientedComplex) -> bytes:
-    return sphere_data(L).code
-
-
-def mirror_code_bytes(L: OrientedComplex) -> bytes:
-    return sphere_data(L).mirror_code
-
-
-def _relabel(lab: dict, s: Simplex) -> tuple:
-    """A simplex in the labels of one code-minimising labeling, sorted."""
-    return tuple(sorted(lab[v] for v in s))
-
-
-def canonical_orbit(L: OrientedComplex, s: Simplex) -> tuple:
-    """Aut(L)-orbit of a simplex, written in canonical labels.
-
-    The minimum over all code-minimising labelings of the relabeled sorted
-    tuple; equal across any orientation-preserving isomorphism.
-    """
-    return min(_relabel(lab, s) for lab in sphere_data(L).labelings)
-
-
-def anchor_orbit(L: OrientedComplex, anchor, unordered: bool = False) -> tuple:
-    """Aut(L)-orbit of a tuple of simplices, written in canonical labels.
-
-    One joint minimum over all code-minimising labelings of the whole
-    tuple, each simplex relabeled as in ``canonical_orbit``; with
-    ``unordered`` the relabeled simplices are sorted first.  Two tuples
-    get equal orbits iff an orientation-preserving automorphism of L maps
-    one onto the other (onto a reordering of it, when unordered).  A tuple
-    of per-simplex orbits would not do: every facet of the octahedron has
-    the same orbit, but not every pair of facets.
-    """
-    def image(lab):
-        parts = [_relabel(lab, s) for s in anchor]
-        return tuple(sorted(parts) if unordered else parts)
-    return min(map(image, sphere_data(L).labelings))
-
-
-def mirror_orbit(L: OrientedComplex, s: Simplex) -> tuple:
-    """Orbit descriptor of a simplex on the orientation-reversed sphere."""
-    return min(_relabel(lab, s) for lab in sphere_data(L).mirror_labelings)
-
-
-def is_symmetric_2sphere(L: OrientedComplex) -> bool:
-    data = sphere_data(L)
-    return data.code == data.mirror_code
 
 
 def complex_from_code(code: bytes) -> OrientedComplex:
@@ -264,7 +235,7 @@ def complex_from_code(code: bytes) -> OrientedComplex:
             if signs.setdefault(f, sign) != sign:
                 raise ComplexError("inconsistent rotations in code")
     L = OrientedComplex(SimplicialComplex(signs), signs)
-    if code_bytes(L) != bytes(code):
+    if sphere_data(L).code != bytes(code):
         raise ComplexError("code round-trip failed")
     return L
 

@@ -197,9 +197,9 @@ class OrientedComplex:
         raise AttributeError("OrientedComplex is immutable")
 
     def __eq__(self, other):
-        return (isinstance(other, OrientedComplex)
-                and self.complex == other.complex
-                and self.signs == other.signs)
+        # the keys of the sign map are the facets, so equal signs mean an
+        # equal complex
+        return isinstance(other, OrientedComplex) and self.signs == other.signs
 
     def __hash__(self):
         return self._hash

@@ -58,8 +58,8 @@ class EdgeKey:
 
 
 def endpoint(L: OrientedComplex, s) -> EndPoint:
-    return EndPoint(canonical.code_bytes(L), canonical.canonical_orbit(L, s),
-                    canonical.mirror_code_bytes(L), canonical.mirror_orbit(L, s))
+    d = canonical.sphere_data(L)
+    return EndPoint(d.code, d.orbit(s), d.mirror_code, d.orbit(s, mirror=True))
 
 
 def edge_of_move(L: OrientedComplex, m: Move,
@@ -187,10 +187,11 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
     """Rebuild a chain from its JSON form.
 
     Each endpoint sphere is rebuilt from its canonical code, once per code,
-    only to recompute the edge's mirror data; no sphere is handed out, since
-    ``evaluate_c0`` rebuilds any code it is not given a complex for.
-    Raises ChainFormatError, naming the entry, on anything but a list of
-    {"edge": {...}, "coeff": "p/q"} entries.
+    only to check the edge's orbits and recompute its mirror data; no
+    sphere is handed out, since ``evaluate_c0`` rebuilds any code it is not
+    given a complex for.  Raises ChainFormatError, naming the entry, on
+    anything but a list of {"edge": {...}, "coeff": "p/q"} entries whose
+    orbits are canonical orbits of faces of their spheres.
     """
     spheres: dict = {}
 
@@ -199,9 +200,14 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
         L = spheres.get(code)
         if L is None:
             L = spheres[code] = canonical.complex_from_code(code)
-        return EndPoint(code, tuple(orbit),
-                        canonical.mirror_code_bytes(L),
-                        _transport_orbit(L, tuple(orbit)))
+        data = canonical.sphere_data(L)
+        orbit = tuple(orbit)
+        # the simplex the orbit names under the first labeling
+        inv = {c: v for v, c in data.labelings[0].items()}
+        s = tuple(sorted(inv[c] for c in orbit))
+        if not s or not L.complex.has_simplex(s) or data.orbit(s) != orbit:
+            raise ValueError(f"{list(orbit)} is not the orbit of a face")
+        return EndPoint(code, orbit, data.mirror_code, data.orbit(s, mirror=True))
 
     if not isinstance(entries, list):
         raise ChainFormatError(
@@ -221,15 +227,6 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
     return Chain1(items)
 
 
-def _transport_orbit(L: OrientedComplex, orbit: tuple) -> tuple:
-    """Mirror orbit of a simplex given by canonical labels on L."""
-    data = canonical.sphere_data(L)
-    lab = data.labelings[0]
-    inv = {lab[v]: v for v in lab}
-    simplex = tuple(sorted(inv[i] for i in orbit))
-    return canonical.mirror_orbit(L, simplex)
-
-
 def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move]) -> Chain1:
     """Signed sum of the edges of a closed move loop, inessential steps
     dropped; raises LoopNotClosed unless the replay returns to a sphere
@@ -245,6 +242,6 @@ def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move]) -> Chain1:
         e = edge_of_move(state, m, L2=final)
         if e is not None:
             edges.append(e)
-    if canonical.code_bytes(final) != canonical.code_bytes(L0):
+    if canonical.sphere_data(final).code != canonical.sphere_data(L0).code:
         raise LoopNotClosed("replay does not return to the initial sphere")
     return Chain1(edges)

@@ -9,7 +9,8 @@ solver prices arbitrary cycles by exact decomposition over these.  A loop
 is written down as a fixed list of moves from its anchor sphere; the one
 replay in ``gamma2.loop_to_chain`` applies and checks them.  A loop's chain
 is label-free, so ``enumerate_at`` builds one anchor per orbit of the
-sphere's orientation-preserving automorphisms.
+sphere's orientation-preserving automorphisms (``SphereData.anchor_orbit``).
+Anchors are classified on the sphere's rotation system (``SphereData.rot``).
 
 Chirality conventions (which arc of a vertex star is counted as p, which
 endpoint of a shared edge is x) are fixed here once and guarded by the
@@ -101,70 +102,73 @@ def c0_of(spec: GeneratorSpec) -> Fraction:
 
 
 # ---------------------------------------------------------------- anchors
-
-def _degree(L: OrientedComplex, v) -> int:
-    return len(canonical.sphere_data(L).rot[v])
-
-
-def _positive_triple(L: OrientedComplex, f: Simplex):
-    x, y, z = f
-    return (x, y, z) if L.signs[f] > 0 else (x, z, y)
+#
+# Anchor geometry is read off the rotation system ``rot`` of the sphere:
+# rot[v][a] = b whenever (v, a, b) is a positively oriented facet, and the
+# degree of v is len(rot[v]).
 
 
-def _link_edge_at(L: OrientedComplex, f: Simplex, x):
+def _link_edge_at(rot: dict, f: Simplex, x):
     """Directed link edge (a, b) of the facet f at its vertex x."""
-    t = _positive_triple(L, f)
-    i = t.index(x)
-    return (t[(i + 1) % 3], t[(i + 2) % 3])
+    a, b = (v for v in f if v != x)
+    return (a, b) if rot[x][a] == b else (b, a)
 
 
-def _head_of_edge(L: OrientedComplex, f: Simplex, e: Simplex):
-    """Endpoint of e that the positive boundary cycle of f points at."""
-    t = _positive_triple(L, f)
-    for i in range(3):
-        if {t[i], t[(i + 1) % 3]} == set(e):
-            return t[(i + 1) % 3]
-    raise AnchorConfigurationInvalid(f"{e} is not an edge of {f}")
+def _head_of_edge(rot: dict, f: Simplex, e: Simplex):
+    """Endpoint of e that the positive boundary cycle of f points at: the
+    head of f's link edge at its third vertex."""
+    third = [v for v in f if v not in e]
+    if len(third) != 1:
+        raise AnchorConfigurationInvalid(f"{e} is not an edge of {f}")
+    return _link_edge_at(rot, f, third[0])[1]
 
 
-def _arc_count(L: OrientedComplex, x, first: Simplex, second: Simplex) -> int:
+def _edge_triangles(rot: dict, e: Simplex):
+    """The two facets on the edge e, sorted, or None if e is no edge."""
+    if len(e) != 2 or e[1] not in rot.get(e[0], ()):
+        return None
+    a, b = e
+    return sorted(tuple(sorted((a, b, c))) for c in (rot[a][b], rot[b][a]))
+
+
+def _arc_count(rot: dict, x, first: Simplex, second: Simplex) -> int:
     """Number of triangles at x strictly between ``first`` and ``second``,
     walking the star of x in the positive rotation direction."""
-    rot = canonical.sphere_data(L).rot[x]
-    a, _ = _link_edge_at(L, first, x)
-    target, _ = _link_edge_at(L, second, x)
+    r = rot[x]
+    a, _ = _link_edge_at(rot, first, x)
+    target, _ = _link_edge_at(rot, second, x)
     count = 0
-    cur = rot[a]
+    cur = r[a]
     while cur != target:
         count += 1
-        cur = rot[cur]
-        if count > len(rot):
+        cur = r[cur]
+        if count > len(r):
             raise AnchorConfigurationInvalid("rotation walk did not close")
     return count
 
 
-def _consecutive(L: OrientedComplex, w, T, S) -> bool:
+def _consecutive(rot: dict, w, T, S) -> bool:
     """Whether triangle S follows triangle T in the positive rotation at w."""
-    return _link_edge_at(L, T, w)[1] == _link_edge_at(L, S, w)[0]
+    return _link_edge_at(rot, T, w)[1] == _link_edge_at(rot, S, w)[0]
 
 
-def _triple_bit(L: OrientedComplex, w, T1, T2, T3) -> int:
+def _triple_bit(rot: dict, w, T1, T2, T3) -> int:
     """+1 / -1 as the three triangles at w read forward / backward in the
     positive rotation; they must be consecutive."""
-    if _consecutive(L, w, T1, T2) and _consecutive(L, w, T2, T3):
+    if _consecutive(rot, w, T1, T2) and _consecutive(rot, w, T2, T3):
         return 1
-    if _consecutive(L, w, T3, T2) and _consecutive(L, w, T2, T1):
+    if _consecutive(rot, w, T3, T2) and _consecutive(rot, w, T2, T1):
         return -1
     raise AnchorConfigurationInvalid("triangles are not consecutive")
 
 
-def _fan_bit(L: OrientedComplex, x, path) -> int:
+def _fan_bit(rot: dict, x, path) -> int:
     """+1 / -1 as the link path at x runs with / against the rotation."""
-    rot = canonical.sphere_data(L).rot[x]
-    if all(rot.get(a) == b for a, b in zip(path, path[1:])):
+    r = rot[x]
+    if all(r.get(a) == b for a, b in zip(path, path[1:])):
         return 1
     rev = path[::-1]
-    if all(rot.get(a) == b for a, b in zip(rev, rev[1:])):
+    if all(r.get(a) == b for a, b in zip(rev, rev[1:])):
         return -1
     raise AnchorConfigurationInvalid("link path does not follow the rotation")
 
@@ -188,18 +192,19 @@ def _finish(L: OrientedComplex, moves, spec: GeneratorSpec, bit: int) -> Generat
 # ---------------------------------------------------------------- alpha 1
 
 def classify_alpha1(L: OrientedComplex, t1: Simplex, t2: Simplex):
+    rot = canonical.sphere_data(L).rot
     common = set(t1) & set(t2)
     if not common:
         return GeneratorSpec("S1_0", ()), 1
     if len(common) == 1:
         x = next(iter(common))
-        p = _arc_count(L, x, t1, t2)
-        q = _degree(L, x) - p - 2
+        p = _arc_count(rot, x, t1, t2)
+        q = len(rot[x]) - p - 2
         return GeneratorSpec("S1_1", (p, q)), 1
     e = tuple(sorted(common))
-    x = _head_of_edge(L, t1, e)
+    x = _head_of_edge(rot, t1, e)
     y = e[0] if x == e[1] else e[1]
-    return GeneratorSpec("S1_2", (_degree(L, x) - 2, _degree(L, y) - 2)), 1
+    return GeneratorSpec("S1_2", (len(rot[x]) - 2, len(rot[y]) - 2)), 1
 
 
 def build_alpha1(L: OrientedComplex, t1, t2) -> GeneratorChain:
@@ -218,8 +223,9 @@ def build_alpha1(L: OrientedComplex, t1, t2) -> GeneratorChain:
 # ---------------------------------------------------------------- alpha 2
 
 def classify_alpha2(L: OrientedComplex, t: Simplex, e: Simplex):
-    tris = sorted(f for f in L.facets if set(e) <= set(f))
-    if len(tris) != 2:
+    rot = canonical.sphere_data(L).rot
+    tris = _edge_triangles(rot, e)
+    if tris is None:
         return None
     (d1, i1), (d2, i2) = sorted(
         ((d, set(t) & set(d)) for d in tris), key=lambda p: -len(p[1]))
@@ -227,8 +233,8 @@ def classify_alpha2(L: OrientedComplex, t: Simplex, e: Simplex):
         return GeneratorSpec("S2_0", ()), 1
     if len(i1) == 1 and not i2:
         x = next(iter(i1))
-        p = _arc_count(L, x, t, d1)
-        return GeneratorSpec("S2_1", (p, _degree(L, x) - p - 2)), 1
+        p = _arc_count(rot, x, t, d1)
+        return GeneratorSpec("S2_1", (p, len(rot[x]) - p - 2)), 1
     if len(i1) == 2:
         e1 = tuple(sorted(i1))
         in_e = set(e1) & set(e)
@@ -238,8 +244,8 @@ def classify_alpha2(L: OrientedComplex, t: Simplex, e: Simplex):
         x = e1[0] if y == e1[1] else e1[1]
         if i2 != {y}:
             return None
-        bit = _triple_bit(L, y, t, d1, d2)
-        return GeneratorSpec("S2_2", (_degree(L, x) - 2, _degree(L, y) - 3)), bit
+        bit = _triple_bit(rot, y, t, d1, d2)
+        return GeneratorSpec("S2_2", (len(rot[x]) - 2, len(rot[y]) - 3)), bit
     return None
 
 
@@ -278,8 +284,9 @@ def admissible_pair(L: OrientedComplex, e1, e2) -> bool:
 
 
 def classify_alpha3(L: OrientedComplex, e1: Simplex, e2: Simplex):
-    side1 = sorted(f for f in L.facets if set(e1) <= set(f))
-    side2 = sorted(f for f in L.facets if set(e2) <= set(f))
+    """Classify an admissible pair: both edges are edges of L."""
+    rot = canonical.sphere_data(L).rot
+    side1, side2 = _edge_triangles(rot, e1), _edge_triangles(rot, e2)
     overlaps = [(d1, d2, set(d1) & set(d2)) for d1 in side1 for d2 in side2]
     nonempty = [(d1, d2, c) for d1, d2, c in overlaps if c]
     if not nonempty:
@@ -287,8 +294,8 @@ def classify_alpha3(L: OrientedComplex, e1: Simplex, e2: Simplex):
     if len(nonempty) == 1 and len(nonempty[0][2]) == 1:
         d1, d2, c = nonempty[0]
         x = next(iter(c))
-        p = _arc_count(L, x, d1, d2)
-        return GeneratorSpec("S3_1", (p, _degree(L, x) - p - 2)), 1
+        p = _arc_count(rot, x, d1, d2)
+        return GeneratorSpec("S3_1", (p, len(rot[x]) - p - 2)), 1
     shared = [(d1, d2, c) for d1, d2, c in nonempty if len(c) == 2]
     if len(shared) == 1:
         d1, d2, c = shared[0]
@@ -297,8 +304,8 @@ def classify_alpha3(L: OrientedComplex, e1: Simplex, e2: Simplex):
         if len(in1) == 1 and len(in2) == 1 and in1 != in2:
             y, x = next(iter(in1)), next(iter(in2))
             d3 = next(f for f in side1 if f != d1)
-            bit = _triple_bit(L, y, d3, d1, d2)
-            return (GeneratorSpec("S3_2", (_degree(L, x) - 3, _degree(L, y) - 3)),
+            bit = _triple_bit(rot, y, d3, d1, d2)
+            return (GeneratorSpec("S3_2", (len(rot[x]) - 3, len(rot[y]) - 3)),
                     bit)
     return None
 
@@ -318,12 +325,10 @@ def build_alpha3(L: OrientedComplex, e1, e2) -> GeneratorChain:
 
 # ---------------------------------------------------------------- alpha 4
 
-def _hub_of(L: OrientedComplex, x, y, z):
-    hubs = [u for u in L.vertices
-            if u not in (x, y, z)
-            and tuple(sorted((u, x, y))) in L.facets
-            and tuple(sorted((u, y, z))) in L.facets
-            and tuple(sorted((u, z, x))) in L.facets]
+def _hub_of(rot: dict, x, y, z):
+    """The vertex whose link is the triangle x, y, z: the neighbour of x
+    whose rotation is exactly {x, y, z}."""
+    hubs = [u for u in rot.get(x, ()) if rot[u].keys() == {x, y, z}]
     if len(hubs) != 1:
         raise AnchorConfigurationInvalid(
             f"{len(hubs)} hub vertices for ({x},{y},{z})")
@@ -331,17 +336,17 @@ def _hub_of(L: OrientedComplex, x, y, z):
 
 
 def classify_alpha4(L: OrientedComplex, x, y, z):
-    u = _hub_of(L, x, y, z)
-    bit = _fan_bit(L, u, (x, y, z, x))
+    rot = canonical.sphere_data(L).rot
+    bit = _fan_bit(rot, _hub_of(rot, x, y, z), (x, y, z, x))
     return GeneratorSpec(
-        "S4", (_degree(L, x) - 2, _degree(L, y) - 2, _degree(L, z) - 2)), bit
+        "S4", (len(rot[x]) - 2, len(rot[y]) - 2, len(rot[z]) - 2)), bit
 
 
 def build_alpha4(L: OrientedComplex, x, y, z) -> GeneratorChain:
     """Subdivide {u,y,z} with a new vertex v, flip {u,z} onto {x,v}, remove
     u (its link is then {x,y,v}); closes up to the relabeling u -> v."""
     classified = classify_alpha4(L, x, y, z)
-    u = _hub_of(L, x, y, z)
+    u = _hub_of(canonical.sphere_data(L).rot, x, y, z)
     v = max(L.vertices) + 1
     moves = [_move((u, y, z), (v,)), _move((u, z), (x, v)),
              _move((u,), (x, y, v))]
@@ -350,13 +355,12 @@ def build_alpha4(L: OrientedComplex, x, y, z) -> GeneratorChain:
 
 # ---------------------------------------------------------------- alpha 5
 
-def _require_full(L: OrientedComplex, verts, triangles) -> None:
+def _require_full(L: OrientedComplex, rot: dict, verts, triangles) -> None:
     """Raise unless the triangles are the maximal simplices L spans on
     verts: exactly these triples of verts are facets, and every other pair
     of verts is a non-edge (each vertex lies in one of the triangles)."""
     want = {tuple(sorted(t)) for t in triangles}
     sides = {e for t in want for e in itertools.combinations(t, 2)}
-    rot = canonical.sphere_data(L).rot
     vs = sorted(verts)
     if (any((t in L.facets) != (t in want)
             for t in itertools.combinations(vs, 3))
@@ -367,10 +371,11 @@ def _require_full(L: OrientedComplex, verts, triangles) -> None:
 
 
 def classify_alpha5(L: OrientedComplex, x, y, z, u):
-    _require_full(L, (x, y, z, u), [(x, y, z), (x, z, u)])
-    bit = _fan_bit(L, x, (y, z, u))
-    return GeneratorSpec("S5", (_degree(L, x) - 2, _degree(L, y) - 1,
-                                _degree(L, z) - 2, _degree(L, u) - 1)), bit
+    rot = canonical.sphere_data(L).rot
+    _require_full(L, rot, (x, y, z, u), [(x, y, z), (x, z, u)])
+    bit = _fan_bit(rot, x, (y, z, u))
+    return GeneratorSpec("S5", (len(rot[x]) - 2, len(rot[y]) - 1,
+                                len(rot[z]) - 2, len(rot[u]) - 1)), bit
 
 
 def build_alpha5(L: OrientedComplex, x, y, z, u) -> GeneratorChain:
@@ -388,11 +393,12 @@ def build_alpha5(L: OrientedComplex, x, y, z, u) -> GeneratorChain:
 # ---------------------------------------------------------------- alpha 6
 
 def classify_alpha6(L: OrientedComplex, x, y, z, u, v):
-    _require_full(L, (x, y, z, u, v), [(x, y, z), (x, z, u), (x, u, v)])
-    bit = _fan_bit(L, x, (y, z, u, v))
-    return GeneratorSpec("S6", (_degree(L, x) - 3, _degree(L, y) - 1,
-                                _degree(L, z) - 2, _degree(L, u) - 2,
-                                _degree(L, v) - 1)), bit
+    rot = canonical.sphere_data(L).rot
+    _require_full(L, rot, (x, y, z, u, v), [(x, y, z), (x, z, u), (x, u, v)])
+    bit = _fan_bit(rot, x, (y, z, u, v))
+    return GeneratorSpec("S6", (len(rot[x]) - 3, len(rot[y]) - 1,
+                                len(rot[z]) - 2, len(rot[u]) - 2,
+                                len(rot[v]) - 1)), bit
 
 
 def build_alpha6(L: OrientedComplex, x, y, z, u, v) -> GeneratorChain:
@@ -416,6 +422,7 @@ def _anchors(L: OrientedComplex, families):
     at L, in the order ``enumerate_at`` tries them.  ``unordered`` marks
     the pair families α1 and α3: the swapped pair replays the reverse
     loop, whose chain is the negated one."""
+    rot = canonical.sphere_data(L).rot
     facets = sorted(L.facets)
     adm = sorted(m.delta1 for m in admissible_moves(L) if len(m.delta1) == 2)
     if "S1" in families:
@@ -431,8 +438,8 @@ def _anchors(L: OrientedComplex, families):
             yield build_alpha3, (e1, e2), True
     if "S4" in families:
         for u in L.vertices:
-            if _degree(L, u) == 3:
-                cyc = _link_cycle(L, u)
+            if len(rot[u]) == 3:
+                cyc = _link_cycle(rot, u)
                 for roll in range(3):
                     x, y, z = cyc[roll:] + cyc[:roll]
                     yield build_alpha4, (x, y, z), False
@@ -440,16 +447,13 @@ def _anchors(L: OrientedComplex, families):
     if "S5" in families:
         for e in sorted(L.complex.faces(1)):
             x0, z0 = e
-            tips = sorted({v for f in L.facets if set(e) <= set(f)
-                           for v in f if v not in e})
-            if len(tips) != 2:
-                continue
+            tips = sorted((rot[x0][z0], rot[z0][x0]))
             for x, z in ((x0, z0), (z0, x0)):
                 for y, u in (tips, tips[::-1]):
                     yield build_alpha5, (x, y, z, u), False
     if "S6" in families:
         for x in L.vertices:
-            cyc = _link_cycle(L, x)
+            cyc = _link_cycle(rot, x)
             if len(cyc) < 4:
                 continue
             for ordered in (cyc, cyc[::-1]):
@@ -468,7 +472,7 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     A chain is written in canonical codes and orbits, so anchors that an
     orientation-preserving automorphism of L maps onto each other give the
     same spec, bit and chain.  Each anchor is therefore built once per
-    Aut(L)-orbit (``canonical.anchor_orbit``, unordered for α1 and α3,
+    Aut(L)-orbit (``SphereData.anchor_orbit``, unordered for α1 and α3,
     whose swapped pair gives the negated chain).  An orbit-mate tried
     later would give a chain already kept, so the result is the one every
     anchor built in turn would give.
@@ -477,13 +481,14 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     unknown = sorted(want - set(FAMILIES))
     if unknown:
         raise ValueError(f"unknown generator families {unknown}")
+    data = canonical.sphere_data(L)
     out = []
     seen = set()
     tried = set()
     for builder, anchor, unordered in _anchors(L, want):
         # a vertex anchor is relabeled as its 0-simplex
         faces = [a if isinstance(a, tuple) else (a,) for a in anchor]
-        orbit = (builder, canonical.anchor_orbit(L, faces, unordered))
+        orbit = (builder, data.anchor_orbit(faces, unordered))
         if orbit in tried:
             continue
         tried.add(orbit)
@@ -499,12 +504,12 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     return out
 
 
-def _link_cycle(L: OrientedComplex, v) -> list:
-    rot = canonical.sphere_data(L).rot[v]
-    start = min(rot)
+def _link_cycle(rot: dict, v) -> list:
+    r = rot[v]
+    start = min(r)
     cyc = [start]
-    cur = rot[start]
+    cur = r[start]
     while cur != start:
         cyc.append(cur)
-        cur = rot[cur]
+        cur = r[cur]
     return cyc

@@ -99,7 +99,7 @@ def assemble_p1_cycle(K: Manifold4Input,
                     continue
                 edges.append(e)
                 for lk in (rec.link_before, rec.link_after):
-                    registry.setdefault(canonical.code_bytes(lk), lk)
+                    registry.setdefault(canonical.sphere_data(lk).code, lk)
     half = Chain1(edges)
     gamma = half - mirror_chain(half)
     if not is_cycle(gamma):

@@ -33,7 +33,8 @@ def random_walk(L: OrientedComplex, steps: int, rng: random.Random,
 def random_skew_table(spheres, rng: random.Random) -> LocalFunction:
     f = LocalFunction()
     for L in spheres:
-        if not canonical.is_symmetric_2sphere(L):
+        data = canonical.sphere_data(L)
+        if data.code != data.mirror_code:
             f.set_value(L, Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)))
     return f
 

@@ -237,9 +237,10 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
             # _candidates_at(L) already holds the mirror of every chain at
             # the mirror sphere, so an anchor whose mirror was enumerated
             # would add only duplicates.
-            if canonical.mirror_code_bytes(L) in enumerated:
+            data = canonical.sphere_data(L)
+            if data.mirror_code in enumerated:
                 continue
-            enumerated.add(canonical.code_bytes(L))
+            enumerated.add(data.code)
             for cand in _candidates_at(L):
                 rep, _ = cand.chain.normalized()
                 key = rep.frozen()
@@ -285,7 +286,7 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
                     L2 = apply_move(L, m)
                 except ComplexError:
                     continue
-                code = canonical.code_bytes(L2)
+                code = canonical.sphere_data(L2).code
                 if code not in anchors:
                     anchors[code] = L2
                     nxt.append(L2)

@@ -39,12 +39,10 @@ class LocalFunction:
 
     def set_value(self, L, value) -> None:
         value = Fraction(value)
-        if isinstance(L, OrientedComplex):
-            code = canonical.code_bytes(L)
-            mirror = canonical.mirror_code_bytes(L)
-        else:
-            code = bytes(L)
-            mirror = canonical.mirror_code_bytes(canonical.complex_from_code(code))
+        if not isinstance(L, OrientedComplex):
+            L = canonical.complex_from_code(bytes(L))
+        data = canonical.sphere_data(L)
+        code, mirror = data.code, data.mirror_code
         if code == mirror:
             if value:
                 raise ComplexError("symmetric sphere must have value 0")
@@ -57,8 +55,8 @@ class LocalFunction:
             self.table.pop(code, None)
 
     def value(self, L: OrientedComplex) -> Fraction:
-        code = canonical.code_bytes(L)
-        mirror = canonical.mirror_code_bytes(L)
+        data = canonical.sphere_data(L)
+        code, mirror = data.code, data.mirror_code
         if code == mirror:
             return Fraction(0)
         if mirror < code:

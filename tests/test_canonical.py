@@ -14,13 +14,13 @@ from conftest import OCTAHEDRON, STACKED6, oriented, relabeled
 def test_code_equal_under_relabeling():
     octa = oriented(OCTAHEDRON)
     rng = random.Random(5)
-    base = canon.code_bytes(octa)
+    base = canon.sphere_data(octa).code
     verts = list(octa.vertices)
     for _ in range(100):
         img = verts[:]
         rng.shuffle(img)
         perm = dict(zip(verts, img))
-        assert canon.code_bytes(relabeled(octa, perm)) == base
+        assert canon.sphere_data(relabeled(octa, perm)).code == base
 
 
 @settings(max_examples=25, deadline=None)
@@ -28,38 +28,37 @@ def test_code_equal_under_relabeling():
 def test_code_relabeling_invariance_property(img):
     L = oriented(STACKED6)
     perm = dict(zip(L.vertices, img))
-    assert canon.code_bytes(relabeled(L, perm)) == canon.code_bytes(L)
+    assert canon.sphere_data(relabeled(L, perm)).code == canon.sphere_data(L).code
 
 
 def test_boundary_simplex_is_symmetric():
     d3 = cx.boundary_simplex(3)
-    assert canon.code_bytes(d3) == canon.mirror_code_bytes(d3)
+    d = canon.sphere_data(d3)
+    assert d.code == d.mirror_code
 
 
 def test_mirror_code_is_code_of_reverse():
-    for L in (oriented(OCTAHEDRON), oriented(STACKED6)):
-        assert canon.mirror_code_bytes(L) == canon.code_bytes(L.reverse())
-        assert canon.code_bytes(L.reverse()) != b"" and \
-            canon.mirror_code_bytes(L.reverse()) == canon.code_bytes(L)
-    # A chiral edge link of cp2_9, relabelled so that neither orientation is
-    # cached yet: the reverse's data is then derived from the cached mirror.
-    L = cx.oriented_link_simplex(cp2_9(), (1, 3))
-    L = relabeled(L, {v: v + 1000 for v in L.vertices})
-    assert L not in canon._SPHERE_CACHE
-    assert L.reverse() not in canon._SPHERE_CACHE
-    data = canon.sphere_data(L)
-    assert data.code != data.mirror_code
-    mirrored = canon.sphere_data(L.reverse())
-    fresh = canon.SphereData(L.reverse())
-    for name in canon.SphereData.__slots__:
-        assert getattr(mirrored, name) == getattr(fresh, name), name
+    """The property ``EdgeKey.mirror`` relies on: a sphere's mirror code and
+    mirror orbits are the code and orbits of its reverse, on symmetric and
+    on chiral spheres."""
+    chiral = cx.oriented_link_simplex(cp2_9(), (1, 3))
+    for L in (cx.boundary_simplex(3), oriented(OCTAHEDRON),
+              oriented(STACKED6), chiral):
+        d, rev = canon.sphere_data(L), canon.sphere_data(L.reverse())
+        assert d.mirror_code == rev.code and rev.mirror_code == d.code
+        for k in range(3):
+            for s in L.complex.faces(k):
+                assert d.orbit(s, mirror=True) == rev.orbit(s)
+                assert d.anchor_orbit((s,)) == (d.orbit(s),)
+    d = canon.sphere_data(chiral)
+    assert d.code != d.mirror_code
 
 
 def test_distinct_spheres_have_distinct_codes():
-    assert canon.code_bytes(oriented(OCTAHEDRON)) != \
-        canon.code_bytes(cx.boundary_simplex(3))
-    assert canon.code_bytes(oriented(OCTAHEDRON)) != \
-        canon.code_bytes(oriented(STACKED6))
+    assert canon.sphere_data(oriented(OCTAHEDRON)).code != \
+        canon.sphere_data(cx.boundary_simplex(3)).code
+    assert canon.sphere_data(oriented(OCTAHEDRON)).code != \
+        canon.sphere_data(oriented(STACKED6)).code
 
 
 def test_automorphism_counts():
@@ -116,13 +115,13 @@ def test_not_a_2sphere_rejected():
     assert sphere_and_torus.complex.euler_characteristic() == 2
     for L in (cx.boundary_simplex(4), two_spheres, torus, sphere_and_torus):
         with pytest.raises(canon.NotA2Sphere):
-            canon.code_bytes(L)
+            canon.sphere_data(L)
 
 
 def test_complex_from_code_round_trip():
     for L in (cx.boundary_simplex(3), oriented(OCTAHEDRON), oriented(STACKED6)):
-        rebuilt = canon.complex_from_code(canon.code_bytes(L))
-        assert canon.code_bytes(rebuilt) == canon.code_bytes(L)
+        rebuilt = canon.complex_from_code(canon.sphere_data(L).code)
+        assert canon.sphere_data(rebuilt).code == canon.sphere_data(L).code
 
 
 def test_iso_generic_relabelings_of_d4():
@@ -150,10 +149,10 @@ def test_canonical_orbit_invariance():
     octa = oriented(OCTAHEDRON)
     rng = random.Random(11)
     verts = list(octa.vertices)
-    base = canon.canonical_orbit(octa, (1, 2))
+    base = canon.sphere_data(octa).orbit((1, 2))
     for _ in range(20):
         img = verts[:]
         rng.shuffle(img)
         perm = dict(zip(verts, img))
         other = relabeled(octa, perm)
-        assert canon.canonical_orbit(other, (perm[1], perm[2])) == base
+        assert canon.sphere_data(other).orbit((perm[1], perm[2])) == base

@@ -303,12 +303,23 @@ def test_missing_input_exits_one(capsys, tmp_path):
 
 
 def test_malformed_chain_exits_one(capsys, tmp_path):
+    import itertools
+    from plp1 import canonical as canon
     from plp1 import generators as gen
     from conftest import STACKED6, oriented
     good = gen.build_alpha6(oriented(STACKED6), 1, 2, 3, 4, 5).chain.to_json()
+    edge = good[0]["edge"]
+    # an orbit out of canonical (sorted) order, and a pair that is no edge
+    L = canon.complex_from_code(bytes.fromhex(edge["from"]))
+    non_edge = next(list(p) for p in itertools.combinations(sorted(L.vertices), 2)
+                    if not L.complex.has_simplex(p))
+    bad_orbits = [dict(good[0], edge=dict(edge, from_orbit=orbit))
+                  for orbit in (edge["from_orbit"][::-1], non_edge)]
+    assert edge["from_orbit"][::-1] != edge["from_orbit"]
     path = tmp_path / "chain.json"
     for entries in ([1], {"a": 1},
-                    [dict(good[0], coeff="1/0")], [dict(good[0], coeff=1)]):
+                    [dict(good[0], coeff="1/0")], [dict(good[0], coeff=1)],
+                    *([bad] for bad in bad_orbits)):
         path.write_text(json.dumps(entries))
         code, _, err = run_cli(capsys, "c0-cycle", str(path), "--json")
         assert code == 1

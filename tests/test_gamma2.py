@@ -34,9 +34,9 @@ def test_no_edge_exactly_when_code_and_orbit_repeat():
                 cases.append((rec.link_before, rec.induced, rec.link_after))
     verdicts = []
     for L, m, L2 in cases:
-        inessential = (canon.code_bytes(L) == canon.code_bytes(L2)
-                       and canon.canonical_orbit(L, m.delta1)
-                       == canon.canonical_orbit(L2, m.delta2))
+        inessential = (canon.sphere_data(L).code == canon.sphere_data(L2).code
+                       and canon.sphere_data(L).orbit(m.delta1)
+                       == canon.sphere_data(L2).orbit(m.delta2))
         assert (g2.edge_of_move(L, m, L2=L2) is None) == inessential
         verdicts.append(inessential)
     assert set(verdicts) == {True, False}
@@ -47,8 +47,8 @@ def test_subdivision_edge_endpoints():
     m = mv.make_move(d3, (0, 1, 2))
     key, sign = g2.edge_of_move(d3, m)
     codes = {key.a.code, key.b.code}
-    assert canon.code_bytes(d3) in codes
-    assert canon.code_bytes(mv.apply_move(d3, m)) in codes
+    assert canon.sphere_data(d3).code in codes
+    assert canon.sphere_data(mv.apply_move(d3, m)).code in codes
 
 
 def test_move_and_inverse_share_key_with_opposite_signs(stacked6):

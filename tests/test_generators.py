@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,10 +164,10 @@ def test_value_consistency_on_null_relations(bipyramid, stacked6, octahedron):
     columns = []
     for L in (bipyramid, stacked6, octahedron):
         columns += [(g.chain, g.value) for g in gen.enumerate_at(L)]
-        seen = {canon.code_bytes(L)}
+        seen = {canon.sphere_data(L).code}
         for m in mv.admissible_moves(L):
             L2 = mv.apply_move(L, m)
-            code = canon.code_bytes(L2)
+            code = canon.sphere_data(L2).code
             if code in seen:
                 continue
             seen.add(code)
@@ -331,3 +333,78 @@ def test_enumerate_matches_building_every_anchor(anchor_spheres):
         assert [(g.spec.kind, g.spec.params, g.bit, g.chain)
                 for g in gen.enumerate_at(L)] == \
             [(g.spec.kind, g.spec.params, g.bit, g.chain) for g in reference]
+
+
+# Reference rules that read anchor geometry by scanning the facets and their
+# positive vertex order; the classifiers read it off the rotation system.
+
+def _positive_triple(L, f):
+    x, y, z = f
+    return (x, y, z) if L.signs[f] > 0 else (x, z, y)
+
+
+def _scan_link_edge_at(L, f, x):
+    t = _positive_triple(L, f)
+    i = t.index(x)
+    return (t[(i + 1) % 3], t[(i + 2) % 3])
+
+
+def _scan_head_of_edge(L, f, e):
+    t = _positive_triple(L, f)
+    for i in range(3):
+        if {t[i], t[(i + 1) % 3]} == set(e):
+            return t[(i + 1) % 3]
+    raise gen.AnchorConfigurationInvalid(f"{e} is not an edge of {f}")
+
+
+def _scan_edge_triangles(L, e):
+    tris = sorted(f for f in L.facets if set(e) <= set(f))
+    return tris if len(tris) == 2 else None
+
+
+def _scan_hub_of(L, x, y, z):
+    hubs = [u for u in L.vertices
+            if u not in (x, y, z)
+            and all(tuple(sorted((u, a, b))) in L.facets
+                    for a, b in ((x, y), (y, z), (z, x)))]
+    if len(hubs) != 1:
+        raise gen.AnchorConfigurationInvalid(f"{len(hubs)} hub vertices")
+    return hubs[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except gen.AnchorConfigurationInvalid:
+        return "invalid"
+
+
+def test_rotation_reads_match_facet_scans(anchor_spheres, bipyramid):
+    """The rotation-system reads of the classifiers agree with the facet
+    scans they replaced, on both orientations, for edges and non-edges,
+    and for triples with no hub, one hub, or two (the bipyramid's apexes)."""
+    from plp1.selfcheck import random_walk
+    rng = random.Random(7)
+    walks = [random_walk(cx.boundary_simplex(3), rng.randrange(3, 12), rng)
+             for _ in range(10)]
+    invalid = set()
+    for L in [*anchor_spheres, *walks]:
+        for M in (L, L.reverse()):
+            rot = canon.sphere_data(M).rot
+            verts = sorted(M.vertices) + [max(M.vertices) + 1]
+            for f in M.facets:
+                for x in f:
+                    assert gen._link_edge_at(rot, f, x) == \
+                        _scan_link_edge_at(M, f, x)
+                for e in itertools.combinations(verts, 2):
+                    assert _outcome(gen._head_of_edge, rot, f, e) == \
+                        _outcome(_scan_head_of_edge, M, f, e)
+            for e in itertools.combinations(verts, 2):
+                assert gen._edge_triangles(rot, e) == _scan_edge_triangles(M, e)
+            for x, y, z in itertools.permutations(verts, 3):
+                want = _outcome(_scan_hub_of, M, x, y, z)
+                assert _outcome(gen._hub_of, rot, x, y, z) == want
+                invalid.add(want == "invalid")
+    assert invalid == {True, False}
+    assert _outcome(gen._hub_of, canon.sphere_data(bipyramid).rot, 1, 2, 3) \
+        == "invalid" == _outcome(_scan_hub_of, bipyramid, 1, 2, 3)

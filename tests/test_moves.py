@@ -151,7 +151,7 @@ def test_essentialness():
     bip = oriented(BIPYRAMID)
     flip = mv.make_move(bip, (1, 2))  # equatorial edge of the bipyramid
     assert mv.apply_move(bip, flip) != bip
-    assert canon.code_bytes(mv.apply_move(bip, flip)) == canon.code_bytes(bip)
+    assert canon.sphere_data(mv.apply_move(bip, flip)).code == canon.sphere_data(bip).code
     assert g2.edge_of_move(bip, flip) is None
 
 
@@ -245,6 +245,37 @@ def test_layered_imports(module, allowed):
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("plp1") for a in node.names)
     assert local == allowed
+
+
+def test_canonical_is_read_through_sphere_data():
+    """Outside ``canonical``, the package reads a sphere's canonical data
+    only from ``sphere_data`` (rebuilding spheres with ``complex_from_code``
+    and catching its exceptions), so no per-field wrapper comes back."""
+    allowed = {"sphere_data", "complex_from_code"} | {
+        name for name, obj in vars(canon).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)}
+    for path in sorted(Path(canon.__file__).parent.glob("*.py")):
+        if path.stem == "canonical":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("plp1.")
+                if module == "canonical":
+                    assert {a.name for a in node.names} <= allowed, path.name
+                elif module in ("", "plp1"):
+                    aliases |= {a.asname or a.name for a in node.names
+                                if a.name == "canonical"}
+            elif isinstance(node, ast.Import):
+                assert "plp1.canonical" not in {a.name for a in node.names}
+        reads = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in aliases]
+        assert {node.attr for node in reads} <= allowed, path.name
+        bare = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in aliases]
+        assert len(bare) == len(reads), path.name
 
 
 def _random_walk_signs_agree(L, steps, rng):

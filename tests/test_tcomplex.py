@@ -48,16 +48,17 @@ def test_delta_counts_link_multiplicity():
     target = None
     while target is None:
         S = random_walk(cx.boundary_simplex(3), rng.randrange(4, 9), rng)
-        if not canon.is_symmetric_2sphere(S):
+        d = canon.sphere_data(S)
+        if d.code != d.mirror_code:
             target = S
     m = rng.choice(mv.admissible_moves(target))
     L_beta = mv.build_L_beta(target, m)  # the link of one cone point is -target
     links = [cx.oriented_link(L_beta, v) for v in L_beta.vertices]
     f = tc.LocalFunction([(target, Fraction(5, 3))])
-    code = canon.code_bytes(target)
-    mirror = canon.mirror_code_bytes(target)
-    net = sum(1 for lk in links if canon.code_bytes(lk) == code) \
-        - sum(1 for lk in links if canon.code_bytes(lk) == mirror)
+    d = canon.sphere_data(target)
+    code, mirror = d.code, d.mirror_code
+    net = sum(1 for lk in links if canon.sphere_data(lk).code == code) \
+        - sum(1 for lk in links if canon.sphere_data(lk).code == mirror)
     assert net != 0
     assert tc.delta_eval(f, L_beta) == Fraction(5, 3) * net
 
@@ -144,7 +145,8 @@ def test_symmetric_spheres_always_evaluate_to_zero(pool):
     assert canon.iso_generic(lb, lb.reverse(), orientation=True) is not None
     f = random_skew_table(pool, random.Random(9))
     for sym in (cx.boundary_simplex(3), bip):
-        assert canon.is_symmetric_2sphere(sym)
+        d = canon.sphere_data(sym)
+        assert d.code == d.mirror_code
         assert f.value(sym) == 0
 
 
@@ -153,7 +155,7 @@ def test_d_eval_vanishes_on_loop_moves(pool):
     from conftest import STACKED6, oriented
     stacked = oriented(STACKED6)
     loop_move = mv.make_move(stacked, (1, 3))
-    assert canon.code_bytes(mv.apply_move(stacked, loop_move)) == \
-        canon.code_bytes(stacked)
+    assert canon.sphere_data(mv.apply_move(stacked, loop_move)).code == \
+        canon.sphere_data(stacked).code
     f = random_skew_table(pool + [stacked], random.Random(12))
     assert f.value(mv.apply_move(stacked, loop_move)) == f.value(stacked)
