@@ -424,7 +424,7 @@ def _anchors(L: OrientedComplex, families):
     loop, whose chain is the negated one."""
     rot = canonical.sphere_data(L).rot
     facets = sorted(L.facets)
-    adm = sorted(m.delta1 for m in admissible_moves(L) if len(m.delta1) == 2)
+    adm = sorted(m.delta1 for m in admissible_moves(L, (2,)))
     if "S1" in families:
         for t1, t2 in itertools.combinations(facets, 2):
             yield build_alpha1, (t1, t2), True

@@ -80,20 +80,28 @@ def make_move(L: OrientedComplex, delta1: Iterable[int],
     return Move(d1, _cofactor(d1, star, n, L.complex.has_simplex))
 
 
-def admissible_moves(L: OrientedComplex) -> list:
-    """All admissible moves, facet subdivisions included (with the fresh
-    vertex max+1), in a deterministic order: faces in order of first
-    appearance over the sorted facets, smaller faces of a facet first."""
+def admissible_moves(L: OrientedComplex, sizes: Optional[Iterable[int]] = None) -> list:
+    """The admissible moves whose delta1 has one of the given ``sizes`` (by
+    default all, facet subdivisions included with the fresh vertex max+1),
+    in a deterministic order: faces in order of first appearance over the
+    sorted facets, smaller faces of a facet first.  The moves of some sizes
+    are the full list filtered to those sizes, in the same order; only the
+    faces of those sizes and of their cofactor sizes n+2-k are indexed."""
     n = L.dim
-    nv = max(L.vertices) + 1
-    # every face, facets included, -> the facets containing it
+    sizes = set(range(1, n + 2) if sizes is None else sizes)
+    # the presence check of a k-face's cofactor reads the faces of size n+2-k
+    indexed = sorted(sizes | {n + 2 - k for k in sizes if k <= n})
+    # every indexed face -> the facets containing it
     stars: dict = {}
     for f in sorted(L.facets):
-        for k in range(1, n + 2):
+        for k in indexed:
             for d1 in itertools.combinations(f, k):
                 stars.setdefault(d1, []).append(f)
+    nv = max(L.vertices) + 1 if n + 1 in sizes else None
     out = []
     for d1, star in stars.items():
+        if len(d1) not in sizes:
+            continue
         if len(d1) == n + 1:
             out.append(Move(d1, (nv,)))
             continue

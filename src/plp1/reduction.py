@@ -2,7 +2,11 @@
 
 Greedy descent on the lexicographic objective (vertex count, facet count)
 with Metropolis-accepted uphill moves when stuck, restarted from derived
-seeds.  A run certifies only when the final complex has n+2 vertices and
+seeds.  A step scans only the downhill move kinds, vertex removals first
+and then, on a 3-sphere, the edge moves that drop a facet, and picks at
+random among the first kind it finds.  Only a step with no downhill move
+scans every admissible move, for a random pick tested by Metropolis.
+A run certifies only when the final complex has n+2 vertices and
 n+2 facets, which makes it the boundary of the (n+1)-simplex; failure to
 certify within budget is an explicit error, never a wrong answer.
 """
@@ -37,6 +41,8 @@ class ReductionConfig:
     def __post_init__(self):
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
 
 
 def _is_target(L: OrientedComplex) -> bool:
@@ -50,6 +56,14 @@ def _objective(L: OrientedComplex) -> int:
     return WEIGHT_VERTICES * len(L.vertices) + WEIGHT_FACETS * len(L.facets)
 
 
+def _change(k: int, n: int) -> int:
+    """Objective change of a move on an n-sphere whose delta1 has k
+    vertices: it replaces n+2-k facets by k, removes a vertex when k = 1
+    and adds one when k = n+1.  The change strictly increases with k."""
+    dv = (k == n + 1) - (k == 1)
+    return WEIGHT_VERTICES * dv + WEIGHT_FACETS * (2 * k - n - 2)
+
+
 def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
     rng = random.Random(seed)
     state = L
@@ -58,21 +72,21 @@ def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
     stagnant = 0
     best = _objective(L)
     fresh = max(L.vertices) + 1
+    n = L.dim
+    # the downhill move kinds, steepest first
+    downhill = [k for k in range(1, n + 2) if _change(k, n) < 0]
     for _ in range(cfg.max_steps):
         if _is_target(state):
             return moves
-        cands = admissible_moves(state)
-        scored = []
-        for m in cands:
-            dv = 1 if len(m.delta2) == 1 else (-1 if len(m.delta1) == 1 else 0)
-            df = len(m.delta1) - len(m.delta2)
-            scored.append((WEIGHT_VERTICES * dv + WEIGHT_FACETS * df, m))
-        downhill = [(d, m) for d, m in scored if d < 0]
-        if downhill:
-            dmin = min(d for d, _ in downhill)
-            pick = rng.choice([m for d, m in downhill if d == dmin])
+        for k in downhill:
+            cands = admissible_moves(state, (k,))
+            if cands:
+                pick = rng.choice(cands)
+                break
         else:
-            d, pick = scored[rng.randrange(len(scored))]
+            cands = admissible_moves(state)
+            pick = cands[rng.randrange(len(cands))]
+            d = _change(len(pick.delta1), n)
             if d > 0 and rng.random() >= math.exp(-d / max(temp, 1e-9)):
                 temp *= COOLING
                 stagnant += 1

@@ -45,9 +45,15 @@ def test_indexed_scan_matches_per_face_scan(octahedron, stacked6):
     K = cp2_9()
     starts = [octahedron, stacked6] + [cx.oriented_link(K, v) for v in K.vertices]
     for L in starts:
+        kinds = range(1, L.dim + 2)
+        subsets = [s for r in kinds for s in itertools.combinations(kinds, r)]
         for _ in range(8):
             moves = mv.admissible_moves(L)
-            assert moves == _admissible_by_face(L)
+            reference = _admissible_by_face(L)
+            assert moves == reference
+            for sizes in subsets:
+                assert mv.admissible_moves(L, sizes) == [
+                    m for m in reference if len(m.delta1) in sizes]
             L = mv.apply_move(L, rng.choice(moves))
 
 

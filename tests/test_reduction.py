@@ -1,10 +1,15 @@
+import hashlib
+import math
+import random
+
 import pytest
 
 from plp1 import complexes as cx
 from plp1 import moves as mv
 from plp1 import reduction as red
 from plp1.canonical import iso_generic
-from plp1.fixtures import link_L, sequence_9
+from plp1.fixtures import cp2_9, link_L, sequence_9
+from plp1.selfcheck import random_walk
 
 from conftest import product_sphere_circle
 
@@ -71,8 +76,98 @@ def test_non_sphere_exhausts_budget():
 def test_config_validation():
     with pytest.raises(ValueError):
         red.ReductionConfig(max_steps=0)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError):
+            red.ReductionConfig(restarts=restarts)
 
 
 def test_empty_sequence_replays_to_input():
     L = link_L()
     assert red.verify_sequence(L, mv.MoveSequence(L, [])) == L
+
+
+def _reference_run(L, cfg, seed, stats):
+    """The reducer as a full scan: score every admissible move, descend
+    along the best objective change, else a Metropolis-tested random move.
+    ``stats["full"]`` counts the steps that found no downhill move."""
+    rng = random.Random(seed)
+    state, moves = L, []
+    temp, stagnant = red.TEMP_INIT, 0
+    best = red._objective(L)
+    fresh = max(L.vertices) + 1
+    for _ in range(cfg.max_steps):
+        if red._is_target(state):
+            return moves
+        scored = []
+        for m in mv.admissible_moves(state):
+            dv = 1 if len(m.delta2) == 1 else (-1 if len(m.delta1) == 1 else 0)
+            df = len(m.delta1) - len(m.delta2)
+            scored.append((red.WEIGHT_VERTICES * dv + red.WEIGHT_FACETS * df, m))
+        downhill = [(d, m) for d, m in scored if d < 0]
+        if downhill:
+            dmin = min(d for d, _ in downhill)
+            pick = rng.choice([m for d, m in downhill if d == dmin])
+        else:
+            stats["full"] += 1
+            d, pick = scored[rng.randrange(len(scored))]
+            if d > 0 and rng.random() >= math.exp(-d / max(temp, 1e-9)):
+                temp *= red.COOLING
+                stagnant += 1
+                if stagnant >= red.REHEAT_AFTER:
+                    temp, stagnant = red.TEMP_INIT, 0
+                continue
+        if len(pick.delta2) == 1:
+            pick = mv.Move(pick.delta1, (fresh,))
+            fresh += 1
+        state = mv.apply_move(state, pick)
+        moves.append(pick)
+        temp *= red.COOLING
+        obj = red._objective(state)
+        if obj < best:
+            best, stagnant = obj, 0
+        else:
+            stagnant += 1
+            if stagnant >= red.REHEAT_AFTER:
+                temp, stagnant = red.TEMP_INIT, 0
+    return moves if red._is_target(state) else None
+
+
+def _reference_reduce(L, cfg, stats):
+    for r in range(cfg.restarts):
+        moves = _reference_run(L, cfg, cfg.seed * 1_000_003 + r, stats)
+        if moves is not None:
+            return mv.MoveSequence(L, moves)
+    raise red.BudgetExhausted("reference found no reduction")
+
+
+def _reduction_inputs():
+    """The vertex links of cp2_9, seeded walks from the 9-vertex link 3-sphere
+    and seeded walks from the boundary of the tetrahedron."""
+    K = cp2_9()
+    links = [cx.oriented_link(K, v) for v in sorted(K.vertices)]
+    walks3 = [random_walk(link_L(), 30, random.Random(s), max_vertices=14)
+              for s in range(6)]
+    walks2 = [random_walk(cx.boundary_simplex(3), 25, random.Random(100 + s))
+              for s in range(6)]
+    return links + walks3 + walks2
+
+
+# sha256 of the concatenated ``to_json()`` of ``reduce_sphere`` over
+# ``_reduction_inputs()`` and seeds 0-2, input by input; a change to how the
+# reducer consumes its random stream changes it
+PINNED_REDUCTIONS = "6970b8b2d4dce3b901a516ca7075177cac5331ef6daa45c9d4ff2eee2118826c"
+
+
+def test_reduction_matches_full_scan_reference():
+    stats = {"full": 0}
+    texts = []
+    for L in _reduction_inputs():
+        for seed in range(3):
+            cfg = red.ReductionConfig(seed=seed)
+            text = red.reduce_sphere(L, cfg).to_json()
+            assert text == _reference_reduce(L, cfg, stats).to_json()
+            texts.append(text)
+    # the reference took its uphill branch, so the full-scan path was compared
+    assert stats["full"] > 0
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == PINNED_REDUCTIONS
