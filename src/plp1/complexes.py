@@ -95,6 +95,9 @@ class SimplicialComplex:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SimplicialComplex is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.facets,)
+
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
 
@@ -195,6 +198,9 @@ class OrientedComplex:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("OrientedComplex is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.complex, self.signs)
 
     def __eq__(self, other):
         # the keys of the sign map are the facets, so equal signs mean an

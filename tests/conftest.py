@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from plp1.complexes import (OrientedComplex, SimplicialComplex, build_complex,
                             orient, simplex, sort_parity)
+from plp1.moves import admissible_moves, apply_move
 
 
 def oriented(facets) -> OrientedComplex:
@@ -60,3 +63,24 @@ def relabeled(L: OrientedComplex, perm: dict) -> OrientedComplex:
         img = tuple(perm[v] for v in f)
         signs[simplex(img)] = s * sort_parity(img)
     return OrientedComplex(SimplicialComplex(signs), signs)
+
+
+def subdivided(K: OrientedComplex, k: int, seed: int = 0) -> OrientedComplex:
+    """K after ``k`` stellar subdivisions of seeded random facets; each adds
+    one vertex and ``dim`` facets."""
+    rng = random.Random(seed)
+    for _ in range(k):
+        K = apply_move(K, rng.choice(admissible_moves(K, (K.dim + 1,))))
+    return K
+
+
+def write_facets(path, K: OrientedComplex) -> None:
+    """K as an ``orient=explicit`` facet file, a negative facet written
+    with its last two vertices swapped."""
+    lines = [f"dim={K.dim}", "orient=explicit"]
+    for f in sorted(K.facets):
+        row = list(f)
+        if K.signs[f] < 0:
+            row[-1], row[-2] = row[-2], row[-1]
+        lines.append(" ".join(map(str, row)))
+    path.write_text("\n".join(lines) + "\n")

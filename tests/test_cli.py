@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import plp1
+from plp1 import pontryagin
 from plp1.cli import main
 from plp1.fixtures import fixture_path
 
@@ -237,27 +238,25 @@ def test_c0_cycle_certificate_pinned(capsys, chain_files, chain, seed):
 def test_computation_failure_exits_one(capsys, tmp_path):
     import conftest
     from plp1.complexes import suspension
-    bad = suspension(conftest.product_sphere_circle(3))
     path = tmp_path / "bad.facets"
-    lines = ["dim=4", "orient=explicit"]
-    for f in sorted(bad.facets):
-        row = list(f)
-        if bad.signs[f] < 0:
-            row[-1], row[-2] = row[-2], row[-1]
-        lines.append(" ".join(map(str, row)))
-    path.write_text("\n".join(lines) + "\n")
+    conftest.write_facets(path, suspension(conftest.product_sphere_circle(3)))
     code, out, err = run_cli(capsys, "verify", str(path), "--json",
                              "--max-steps", "120", "--restarts", "1")
     assert code == 1
     assert json.loads(err)["error"] == "LinkNotCertified"
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports the same plp1 as this test,
+    installed or not."""
+    package_root = str(Path(plp1.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def test_usage_error_exits_two():
     facets = str(fixture_path("cp2_9.facets"))
-    # the child imports the same plp1 as this test, installed or not
-    package_root = str(Path(plp1.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     for argv in (["frobnicate"], ["verify", facets, "--jobs", "2"],
                  ["verify", facets, "--max-steps", "0"],
                  ["reduce", facets, "--restarts", "0"],
@@ -265,6 +264,49 @@ def test_usage_error_exits_two():
         proc = subprocess.run([sys.executable, "-m", "plp1.cli", *argv],
                               capture_output=True, env=env)
         assert proc.returncode == 2
+
+
+# The CLI in a fresh interpreter that sees ``{cpus}`` CPUs and splits the
+# vertex links of inputs with at least ``{min_facets}`` facets.
+SHARED_CLI = ("import os, sys\n"
+              "from plp1 import cli, pontryagin\n"
+              "os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+              "pontryagin.SPLIT_MIN_FACETS = {min_facets}\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def _stdout_in_shares(argv, min_facets):
+    """Standard output of the CLI run inline and split in two shares; both
+    runs must succeed, silently on stderr."""
+    out = []
+    for cpus in (1, 2):
+        code = SHARED_CLI.format(cpus=cpus, min_facets=min_facets)
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, env=_child_env())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        out.append(proc.stdout)
+    return out
+
+
+def test_split_cli_prints_one_line_as_inline(tmp_path):
+    """Forked shares print nothing: the split run writes exactly the one
+    JSON line of the inline run.  ``p1`` on an input above the crossover
+    would spend minutes in the solver, so it runs on cp2_9 with the
+    crossover lowered."""
+    import conftest
+    from plp1.fixtures import cp2_9
+    path = tmp_path / "cp2_17.facets"
+    K = conftest.subdivided(cp2_9(), 8)
+    assert len(K.facets) >= pontryagin.SPLIT_MIN_FACETS
+    conftest.write_facets(path, K)
+    for argv, min_facets in (
+            (["verify", str(path), "--json"], pontryagin.SPLIT_MIN_FACETS),
+            (["p1", str(fixture_path("cp2_9.facets")), "--json",
+              "--certificate"], 0)):
+        inline, split = _stdout_in_shares(argv, min_facets)
+        assert split == inline
+        assert split.count(b"\n") == 1 and split.endswith(b"\n")
+        json.loads(split)
 
 
 def test_selfcheck(capsys):

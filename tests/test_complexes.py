@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from plp1 import complexes as cx
@@ -104,3 +106,12 @@ def test_facet_text_round_trip(tmp_path):
     L = cx.load_facet_file(path)
     assert isinstance(L, cx.OrientedComplex)
     assert L == octa
+
+
+def test_pickled_complexes_keep_equality_hash_and_signs():
+    L = link_L()
+    for K in (L, L.complex):
+        copy = pickle.loads(pickle.dumps(K))
+        assert type(copy) is type(K)
+        assert copy == K and hash(copy) == hash(K)
+    assert pickle.loads(pickle.dumps(L)).signs == L.signs

@@ -1,3 +1,5 @@
+import os
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from plp1 import pontryagin as pt
 from plp1.moves import Move, MoveSequence
 from plp1.reduction import ReductionConfig
 
-from conftest import product_sphere_circle
+from conftest import product_sphere_circle, relabeled, subdivided
 
 
 def test_input_dimension_checked(octahedron):
@@ -139,3 +141,97 @@ def test_single_link_half_chain_is_not_a_cycle():
                 half = half + g2.single_edge(*e)
     assert not g2.is_cycle(half)
     assert g2.is_cycle(half - g2.mirror_chain(half))
+
+
+def test_link_not_certified_pickles():
+    exc = pt.LinkNotCertified(7, "no certified reduction")
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is pt.LinkNotCertified
+    assert copy.vertex == 7 and str(copy) == str(exc)
+
+
+def test_missing_reductions_are_named():
+    K = pt.Manifold4Input(fx.cp2_9())
+    report = pt.verify_4manifold(K, ReductionConfig(seed=0))
+    partial = {v: seq for v, seq in report.links.items() if v not in (1, 4)}
+    with pytest.raises(cx.ComplexError,
+                       match=r"no reduction for vertices \[1, 4\]"):
+        pt.assemble_p1_cycle(K, partial)
+    with pytest.raises(cx.ComplexError, match=r"vertices \[1, 4\]"):
+        pt.pontryagin_number(K, reductions=partial)
+
+
+def _see_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_equals_inline(monkeypatch):
+    """Three shares give the reductions, the cycle in its insertion order
+    and the registry with its keys in order and its representatives of one
+    inline loop."""
+    K = pt.Manifold4Input(subdivided(fx.cp2_9(), 8))
+    assert len(K.complex.facets) >= pt.SPLIT_MIN_FACETS
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = []
+    for cpus in (1, 3):
+        _see_cpus(monkeypatch, cpus)
+        report = pt.verify_4manifold(K, ReductionConfig(seed=0))
+        gamma, registry = pt.assemble_p1_cycle(K, report.links)
+        _assert_no_child_left()
+        runs.append((report.to_json(),
+                     [(v, seq.initial, seq.moves)
+                      for v, seq in report.links.items()],
+                     list(gamma.items()), list(registry.items())))
+    assert len(forks) == 4  # two children for each stage
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("cones", [(13, 14), (2, 3)])
+def test_split_names_least_failing_vertex(monkeypatch, cones):
+    """The two cone points of a suspended S2 x S1 have links that are no
+    spheres; in two shares they fall to different processes, the least
+    one to the parent (13) or to the child (2)."""
+    bad = cx.suspension(product_sphere_circle(3))
+    assert max(bad.vertices) == 14
+    others = [v for v in range(1, 15) if v not in cones]
+    K = pt.Manifold4Input(relabeled(bad, dict(zip(range(1, 15),
+                                                  others + list(cones)))))
+    assert len(K.complex.facets) >= pt.SPLIT_MIN_FACETS
+    cfg = ReductionConfig(seed=0, max_steps=150, restarts=2)
+    errors = []
+    for cpus in (1, 2):
+        _see_cpus(monkeypatch, cpus)
+        with pytest.raises(pt.LinkNotCertified) as info:
+            pt.verify_4manifold(K, cfg)
+        _assert_no_child_left()
+        errors.append((info.value.vertex, str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == cones[0]
+
+
+def test_small_inputs_never_fork(monkeypatch):
+    """Inputs of up to 46 facets, as large as the benchmark's p1-small
+    ones, run inline however many CPUs there are."""
+    def no_fork():
+        raise AssertionError("forked on a small input")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _see_cpus(monkeypatch, 2)
+    for M in (fx.cp2_9(), subdivided(fx.cp2_9(), 2),
+              subdivided(fx.boundary_d5(), 10)):
+        assert len(M.facets) <= 46
+        K = pt.Manifold4Input(M)
+        report = pt.verify_4manifold(K)
+        pt.assemble_p1_cycle(K, report.links)
