@@ -1,16 +1,22 @@
-"""Canonical codes and isomorphism tests for oriented spheres.
+"""Canonical codes of oriented 2-spheres.
 
 Oriented 2-spheres get a fast canonical code via rotation-system traversal:
 the orientation turns the triangulation into a combinatorial map, a rooted
 breadth-first code is computed from every directed edge, and the
 lexicographic minimum is the canonical code.  Two oriented 2-spheres are
 isomorphic iff their codes agree, and anti-isomorphic iff the code of one
-equals the mirror code (reversed rotations) of the other.  Higher spheres
-only ever need a generic backtracking isomorphism search.
+equals the mirror code (reversed rotations) of the other.
+
+The roots achieving the minimum are exactly the orientation-preserving
+automorphisms (Aut+), so all canonical data but one labeling depends on the
+code alone.  It is kept in one record per code, the sphere's class: Aut+ as
+permutations of the canonical labels, the mirror class with one map onto its
+labels, and the orbits met so far.  A sphere of a known class is canonised
+by its first code-minimising root.
 """
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain
 
 from .complexes import (ComplexError, OrientedComplex, Simplex,
                         SimplicialComplex, sort_parity)
@@ -18,23 +24,6 @@ from .complexes import (ComplexError, OrientedComplex, Simplex,
 
 class NotA2Sphere(ComplexError):
     pass
-
-
-class Isomorphism:
-    """A certified vertex bijection between oriented complexes."""
-
-    __slots__ = ("vertex_map", "orientation_preserving")
-
-    def __init__(self, vertex_map: dict, orientation_preserving: bool):
-        self.vertex_map = dict(vertex_map)
-        self.orientation_preserving = orientation_preserving
-
-    def __call__(self, v):
-        return self.vertex_map[v]
-
-    def __repr__(self):
-        kind = "iso" if self.orientation_preserving else "anti-iso"
-        return f"Isomorphism({kind}, {self.vertex_map})"
 
 
 def rotation_system(L: OrientedComplex) -> dict:
@@ -111,13 +100,46 @@ def _code_from_root(rot: dict, u, w, best=None):
     return blocks, label
 
 
+class _SphereClass:
+    """The canonical data of one code: Aut+ as permutations ``p`` of the
+    canonical labels (``p[c]`` is the image of label c), the mirror class,
+    ``to_mirror[c]``, the mirror class's label of c on the reversed sphere,
+    and the orbits of canonical simplices met so far."""
+
+    __slots__ = ("code", "auts", "mirror", "to_mirror", "orbits")
+
+    def __init__(self, code: bytes, auts: list):
+        self.code = code
+        self.auts = auts
+        self.mirror = self.to_mirror = None
+        self.orbits: dict = {}
+
+    def orbit(self, c: tuple) -> tuple:
+        """The least image of the sorted label tuple c under Aut+."""
+        o = self.orbits.get(c)
+        if o is None:
+            o = self.orbits[c] = min(tuple(sorted([p[x] for x in c]))
+                                     for p in self.auts)
+        return o
+
+
+# Class records by code.  A record holds only what its code determines;
+# which sphere first met the code fixes no more than which of the
+# code-minimising labelings of the reversed sphere ``to_mirror`` reads, and
+# every orbit is a minimum over all of them.
+_CLASSES: dict = {}
+
+
 def _min_code(rot: dict):
     """Lexicographic minimum over rooted codes, as bytes, with every
-    labeling that achieves it.  A code rooted at (u, w)
-    opens with the block (deg u, 1, ..., deg u) and then a block opening
-    with deg w, so only roots of least deg u and, among those, of least
-    deg w can achieve it.  Raises NotA2Sphere when the first traversal
-    misses a vertex."""
+    labeling that achieves it, or with the first one when the code is a
+    known class's.  A code rooted at (u, w) opens with the block
+    (deg u, 1, ..., deg u) and then a block opening with deg w, so only
+    roots of least deg u and, among those, of least deg w can achieve it.
+    A rooted code fixes the map up to orientation-preserving isomorphism,
+    so a complete traversal giving a known class's code has found the
+    minimum.  Raises NotA2Sphere when the first traversal misses a
+    vertex."""
     deg = {v: len(r) for v, r in rot.items()}
     min_deg = min(deg.values())
     roots = [(u, w) for u in sorted(rot) if deg[u] == min_deg
@@ -131,39 +153,73 @@ def _min_code(rot: dict):
         blocks, label = _code_from_root(rot, u, w, best)
         if blocks is None:
             continue
-        if best is None:
-            if len(label) != len(rot):
-                raise NotA2Sphere("not connected")
-            best, labelings = blocks, [label]
-        elif blocks < best:
-            best, labelings = blocks, [label]
-        elif blocks == best:
+        if blocks == best:
             labelings.append(label)
-    return bytes(x for block in best for x in block), labelings
+            continue
+        if best is None and len(label) != len(rot):
+            raise NotA2Sphere("not connected")
+        code = bytes(chain.from_iterable(blocks))
+        if code in _CLASSES:
+            return code, [label]
+        best, labelings = blocks, [label]
+    return code, labelings
 
 
-def _relabel(lab: dict, s: Simplex) -> tuple:
-    """A simplex in the labels of one code-minimising labeling, sorted."""
-    return tuple(sorted(lab[v] for v in s))
+def _new_class(code: bytes, labelings: list) -> _SphereClass:
+    """Record a class from all code-minimising labelings of one sphere."""
+    inv = {c: v for v, c in labelings[0].items()}
+    verts = [inv[c] for c in range(len(inv))]
+    cls = _CLASSES[code] = _SphereClass(
+        code, [tuple([lab[v] for v in verts]) for lab in labelings])
+    return cls
+
+
+def _canonise(rot: dict):
+    """(one code-minimising labeling, class record) of a connected map;
+    a new class is recorded together with its mirror class."""
+    code, labelings = _min_code(rot)
+    lab = labelings[0]
+    cls = _CLASSES.get(code)
+    if cls is None:
+        cls = _new_class(code, labelings)
+        mcode, mlabelings = _min_code(_mirror_rotation(rot))
+        mcls = _CLASSES.get(mcode) or _new_class(mcode, mlabelings)
+        mlab = mlabelings[0]
+        to_mirror = [0] * len(lab)
+        for v, c in lab.items():
+            to_mirror[c] = mlab[v]
+        cls.mirror, cls.to_mirror = mcls, tuple(to_mirror)
+        if mcls is not cls:
+            back = [0] * len(lab)
+            for c, m in enumerate(to_mirror):
+                back[m] = c
+            mcls.mirror, mcls.to_mirror = cls, tuple(back)
+    return lab, cls
+
+
+def _relabel(lab, s: Simplex) -> tuple:
+    """A simplex in the labels of a labeling, sorted."""
+    return tuple(sorted([lab[v] for v in s]))
 
 
 class SphereData:
-    """Canonical data of one oriented 2-sphere: its code and mirror code as
-    bytes, the labelings achieving each, and its rotation system.  The one
+    """Canonical data of one oriented 2-sphere: its rotation system, one
+    code-minimising labeling (``label``, vertex to canonical label) and its
+    class record (``cls``), whose code and mirror code it copies.  The one
     interface to a sphere's combinatorial type; ``sphere_data`` caches it."""
 
-    __slots__ = ("code", "labelings", "mirror_code", "mirror_labelings", "rot")
+    __slots__ = ("code", "mirror_code", "rot", "label", "cls")
 
     def __init__(self, L: OrientedComplex):
         # rotation_system has checked that every vertex link is one cycle,
         # so each edge lies in two facets and V - E + F is exact with
         # E = (sum of degrees) / 2; _min_code checks connectivity.
         self.rot = rotation_system(L)
-        self.code, self.labelings = _min_code(self.rot)
         edges = sum(len(r) for r in self.rot.values()) // 2
         if len(self.rot) - edges + len(L.facets) != 2:
             raise NotA2Sphere("Euler characteristic != 2")
-        self.mirror_code, self.mirror_labelings = _min_code(_mirror_rotation(self.rot))
+        self.label, self.cls = _canonise(self.rot)
+        self.code, self.mirror_code = self.cls.code, self.cls.mirror.code
 
     def orbit(self, s: Simplex, mirror: bool = False) -> tuple:
         """Aut-orbit of a simplex, written in canonical labels.
@@ -172,8 +228,12 @@ class SphereData:
         sorted tuple; equal across any orientation-preserving isomorphism.
         With ``mirror``, the orbit on the orientation-reversed sphere.
         """
-        labs = self.mirror_labelings if mirror else self.labelings
-        return min(_relabel(lab, s) for lab in labs)
+        c = _relabel(self.label, s)
+        cls = self.cls
+        if mirror:
+            c = _relabel(cls.to_mirror, c)
+            cls = cls.mirror
+        return cls.orbit(c)
 
     def anchor_orbit(self, simplices, unordered: bool = False) -> tuple:
         """Aut-orbit of a tuple of simplices, written in canonical labels.
@@ -186,10 +246,12 @@ class SphereData:
         per-simplex orbits would not do: every facet of the octahedron has
         the same orbit, but not every pair of facets.
         """
-        def image(lab):
-            parts = [_relabel(lab, s) for s in simplices]
+        canon = [_relabel(self.label, s) for s in simplices]
+
+        def image(p):
+            parts = [_relabel(p, c) for c in canon]
             return tuple(sorted(parts) if unordered else parts)
-        return min(map(image, self.labelings))
+        return min(map(image, self.cls.auts))
 
 
 _SPHERE_CACHE: dict = {}
@@ -238,109 +300,3 @@ def complex_from_code(code: bytes) -> OrientedComplex:
     if sphere_data(L).code != bytes(code):
         raise ComplexError("code round-trip failed")
     return L
-
-
-def _vertex_invariant(L: OrientedComplex) -> dict:
-    """Cheap refinement invariant: facet degree plus neighbour degree multiset."""
-    deg = {v: 0 for v in L.vertices}
-    nbrs = {v: set() for v in L.vertices}
-    for f in L.facets:
-        for v in f:
-            deg[v] += 1
-            nbrs[v].update(u for u in f if u != v)
-    base = {v: (deg[v], len(nbrs[v])) for v in L.vertices}
-    return {v: (base[v], tuple(sorted(base[u] for u in nbrs[v])))
-            for v in L.vertices}
-
-
-def _orientation_factor(A: OrientedComplex, B: OrientedComplex, vmap: dict):
-    """+1 / -1 if vmap maps A onto B preserving / reversing orientation."""
-    factor = None
-    for f, s in A.signs.items():
-        img = tuple(vmap[v] for v in f)
-        g = tuple(sorted(img))
-        sb = B.signs.get(g)
-        if sb is None:
-            return None
-        here = sb * sort_parity(img) * s
-        if factor is None:
-            factor = here
-        elif factor != here:
-            return None
-    return factor
-
-
-def iso_generic(A: OrientedComplex, B: OrientedComplex,
-                orientation: Optional[bool] = None) -> Optional[Isomorphism]:
-    """Backtracking isomorphism search with invariant refinement.
-
-    ``orientation``: True for orientation-preserving only, False for
-    reversing only, None for either.  Returns a certified map or None.
-    """
-    if A.dim != B.dim or len(A.facets) != len(B.facets):
-        return None
-    va, vb = A.vertices, B.vertices
-    if len(va) != len(vb):
-        return None
-    inv_a, inv_b = _vertex_invariant(A), _vertex_invariant(B)
-    if sorted(inv_a.values()) != sorted(inv_b.values()):
-        return None
-    cands = {v: [w for w in vb if inv_b[w] == inv_a[v]] for v in va}
-    order = sorted(va, key=lambda v: len(cands[v]))
-    adj_a = {v: set() for v in va}
-    adj_b = {w: set() for w in vb}
-    for f in A.facets:
-        for v in f:
-            adj_a[v].update(u for u in f if u != v)
-    for f in B.facets:
-        for w in f:
-            adj_b[w].update(u for u in f if u != w)
-
-    return _iso_search(order, cands, adj_a, adj_b, A, B, orientation)
-
-
-def _iso_search(order, cands, adj_a, adj_b, A, B, orientation):
-    vmap: dict = {}
-    used: set = set()
-    facets_b = B.facets
-    result: list = []
-
-    def rec(k: int) -> bool:
-        if k == len(order):
-            mapped = {tuple(sorted(vmap[x] for x in f)) for f in A.facets}
-            if mapped != facets_b:
-                return False
-            factor = _orientation_factor(A, B, vmap)
-            if factor is None:
-                return False
-            if orientation is not None and (factor > 0) != orientation:
-                return False
-            result.append(Isomorphism(dict(vmap), factor > 0))
-            return True
-        v = order[k]
-        for w in cands[v]:
-            if w in used:
-                continue
-            good = True
-            for u in adj_a[v]:
-                if u in vmap and vmap[u] not in adj_b[w]:
-                    good = False
-                    break
-            if good:
-                for u, wu in vmap.items():
-                    if u not in adj_a[v] and wu in adj_b[w]:
-                        good = False
-                        break
-            if not good:
-                continue
-            vmap[v] = w
-            used.add(w)
-            if rec(k + 1):
-                return True
-            del vmap[v]
-            used.discard(w)
-        return False
-
-    rec(0)
-    return result[0] if result else None
-

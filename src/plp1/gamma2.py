@@ -9,9 +9,8 @@ at all.  Chains are sparse maps from edge keys to exact rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import canonical
 from .complexes import ComplexError, OrientedComplex
@@ -26,8 +25,7 @@ class ChainFormatError(ComplexError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class EndPoint:
+class EndPoint(NamedTuple):
     """One endpoint of an edge: sphere code, move-simplex orbit, and the
     corresponding data on the orientation-reversed sphere."""
     code: bytes
@@ -39,8 +37,7 @@ class EndPoint:
         return EndPoint(self.mcode, self.morbit, self.code, self.orbit)
 
 
-@dataclass(frozen=True, order=True)
-class EdgeKey:
+class EdgeKey(NamedTuple):
     """Canonicalized unoriented edge; ``a <= b`` fixes the stored direction."""
     a: EndPoint
     b: EndPoint
@@ -202,8 +199,8 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
             L = spheres[code] = canonical.complex_from_code(code)
         data = canonical.sphere_data(L)
         orbit = tuple(orbit)
-        # the simplex the orbit names under the first labeling
-        inv = {c: v for v, c in data.labelings[0].items()}
+        # the simplex the orbit names under the sphere's labeling
+        inv = {c: v for v, c in data.label.items()}
         s = tuple(sorted(inv[c] for c in orbit))
         if not s or not L.complex.has_simplex(s) or data.orbit(s) != orbit:
             raise ValueError(f"{list(orbit)} is not the orbit of a face")
@@ -221,7 +218,7 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
             num, den = entry["coeff"].split("/")
             items.append((EdgeKey(a, b), Fraction(int(num), int(den))))
         except (LookupError, TypeError, ValueError, AttributeError,
-                ZeroDivisionError) as exc:
+                ZeroDivisionError, ComplexError) as exc:
             raise ChainFormatError(
                 f"entry {i}: {type(exc).__name__}: {exc}") from None
     return Chain1(items)

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from plp1 import canonical as canon
 from plp1 import complexes as cx
 from plp1 import moves as mv
+from plp1 import pontryagin as pt
 from plp1.fixtures import cp2_9, link_L
 
 from conftest import OCTAHEDRON, STACKED6, oriented, relabeled
+from isomorphism import iso_generic, labelings
 
 
 def test_code_equal_under_relabeling():
@@ -62,22 +64,39 @@ def test_distinct_spheres_have_distinct_codes():
 
 
 def test_automorphism_counts():
-    """One code-minimising labeling per automorphism: the root pruning of
-    the code search must keep all of them."""
+    """One class automorphism per code-minimising labeling: the root
+    pruning of the code search must keep all of them."""
     for L, count in ((cx.boundary_simplex(3), 12), (oriented(OCTAHEDRON), 24)):
         data = canon.sphere_data(L)
-        assert len(data.labelings) == count
-        assert len(data.mirror_labelings) == count
-    assert len(canon.sphere_data(oriented(STACKED6)).labelings) >= 1
+        assert len(data.cls.auts) == count
+        assert len(data.cls.mirror.auts) == count
+    assert len(canon.sphere_data(oriented(STACKED6)).cls.auts) >= 1
     # labeling k composed with the inverse of labeling 0 is an automorphism,
     # orientation-reversing for the mirror labelings
     octa = oriented(OCTAHEDRON)
     data = canon.sphere_data(octa)
-    base = data.labelings[0]
-    for labs, image in ((data.labelings, octa), (data.mirror_labelings, octa.reverse())):
-        for lab in labs:
+    base = data.label
+    for mirror, image in ((False, octa), (True, octa.reverse())):
+        for lab in labelings(data, mirror):
             inv = {lab[v]: v for v in lab}
             assert relabeled(octa, {v: inv[base[v]] for v in base}) == image
+
+
+def _all_roots_labelings(data):
+    """The least code over every directed edge of data.rot, and every
+    labeling achieving it."""
+    codes: dict = {}
+    for u in data.rot:
+        for w in data.rot[u]:
+            blocks, label = canon._code_from_root(data.rot, u, w)
+            codes.setdefault(sum(blocks, ()), []).append(label)
+    least = min(codes)
+    return bytes(least), codes[least]
+
+
+def _same_labelings(found, reference):
+    return (len(found) == len(reference)
+            and all(lab in reference for lab in found))
 
 
 def test_code_is_least_over_all_roots(stacked6):
@@ -87,16 +106,82 @@ def test_code_is_least_over_all_roots(stacked6):
     L = stacked6
     for _ in range(8):
         data = canon.sphere_data(L)
-        codes: dict = {}
-        for u in data.rot:
-            for w in data.rot[u]:
-                blocks, label = canon._code_from_root(data.rot, u, w)
-                codes.setdefault(sum(blocks, ()), []).append(label)
-        least = min(codes)
-        assert data.code == bytes(least)
-        assert len(data.labelings) == len(codes[least])
-        assert all(lab in codes[least] for lab in data.labelings)
+        code, reference = _all_roots_labelings(data)
+        assert data.code == code
+        assert _same_labelings(labelings(data), reference)
         L = mv.apply_move(L, rng.choice(mv.admissible_moves(L)))
+
+
+def _clear_caches():
+    canon._SPHERE_CACHE.clear()
+    canon._CLASSES.clear()
+
+
+@pytest.fixture(scope="module")
+def cp2_sphere_pairs():
+    """Every 2-sphere the cp2_9 pipeline meets, in the order first met,
+    each with its reverse."""
+    _clear_caches()
+    pt.pontryagin_number(pt.Manifold4Input(cp2_9()))
+    return [(L, L.reverse()) for L in canon._SPHERE_CACHE]
+
+
+def _canonical_values(L):
+    """Code, mirror code, both orbits of every face, and the ordered and
+    unordered anchor orbits of some face pairs."""
+    d = canon.sphere_data(L)
+    faces = [s for k in range(3) for s in sorted(L.complex.faces(k))]
+    edges, facets = sorted(L.complex.faces(1)), sorted(L.facets)
+    pairs = [(facets[0], f) for f in facets] + \
+            [(e, facets[0]) for e in edges[:3]]
+    return (d.code, d.mirror_code,
+            [(d.orbit(s), d.orbit(s, mirror=True)) for s in faces],
+            [(d.anchor_orbit(p), d.anchor_orbit(p, unordered=True))
+             for p in pairs])
+
+
+def test_results_do_not_depend_on_cache_state(cp2_sphere_pairs):
+    """Canonical data read cold (both module caches cleared before each
+    sphere), warm in pipeline order, and warm in reversed order with the
+    reverse first, agree."""
+    cold = []
+    for pair in cp2_sphere_pairs:
+        values = []
+        for L in pair:
+            _clear_caches()
+            values.append(_canonical_values(L))
+        cold.append(values)
+    _clear_caches()
+    warm = [[_canonical_values(L) for L in pair] for pair in cp2_sphere_pairs]
+    _clear_caches()
+    backwards = [[_canonical_values(L) for L in pair[::-1]][::-1]
+                 for pair in cp2_sphere_pairs[::-1]][::-1]
+    assert cold == warm == backwards
+
+
+def test_labelings_are_all_minimising_roots_cold_and_warm(cp2_sphere_pairs):
+    """The labelings a sphere's view and class give, and those of its
+    reverse through the mirror map, are the all-roots reference, whether
+    the class is new (cold) or known (warm: only the sphere cache cleared,
+    so the first minimising root is taken)."""
+    spheres = [L for pair in cp2_sphere_pairs[::7] for L in pair]
+
+    def check(L):
+        d = canon.sphere_data(L)
+        code, reference = _all_roots_labelings(d)
+        assert d.code == code
+        assert _same_labelings(labelings(d), reference)
+        _, reference = _all_roots_labelings(canon.sphere_data(L.reverse()))
+        assert _same_labelings(labelings(d, mirror=True), reference)
+
+    for L in spheres:
+        _clear_caches()
+        check(L)
+    for L in spheres:
+        canon.sphere_data(L)
+    for L in spheres:
+        canon._SPHERE_CACHE.clear()
+        check(L)
 
 
 def _disjoint(A, B):
@@ -128,21 +213,21 @@ def test_iso_generic_relabelings_of_d4():
     d4 = cx.boundary_simplex(4)
     perm = {0: 3, 1: 4, 2: 0, 3: 2, 4: 1}
     other = relabeled(d4, perm)
-    iso = canon.iso_generic(d4, other)
+    iso = iso_generic(d4, other)
     assert iso is not None
     mapped = {tuple(sorted(iso(v) for v in f)) for f in d4.facets}
     assert mapped == set(other.facets)
 
 
 def test_iso_generic_distinguishes():
-    assert canon.iso_generic(link_L(), cx.boundary_simplex(4)) is None
+    assert iso_generic(link_L(), cx.boundary_simplex(4)) is None
 
 
 def test_iso_generic_orientation_flag():
     d4 = cx.boundary_simplex(4)
-    iso = canon.iso_generic(d4, d4.reverse(), orientation=False)
+    iso = iso_generic(d4, d4.reverse(), orientation=False)
     assert iso is not None and not iso.orientation_preserving
-    assert canon.iso_generic(d4, d4, orientation=True).orientation_preserving
+    assert iso_generic(d4, d4, orientation=True).orientation_preserving
 
 
 def test_canonical_orbit_invariance():

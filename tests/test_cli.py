@@ -369,3 +369,37 @@ def test_malformed_chain_exits_one(capsys, tmp_path):
         assert report["error"] == "ChainFormatError"
         if isinstance(entries, list):
             assert report["detail"].startswith("entry 0:")
+
+
+# Sphere codes that ``complex_from_code`` rejects, one per kind of fault,
+# with the exception each raises.
+BAD_SPHERE_CODES = {
+    "empty": ("00", "ComplexError: empty facet list"),
+    "trailing": ("0000", "ComplexError: trailing data"),
+    # the tetrahedron with vertex 1's rotation reversed
+    "inconsistent": ("03010203030002030300010303000201",
+                     "ComplexError: inconsistent rotations"),
+    # STACKED6 rooted at an edge that does not give the least code
+    "round_trip": ("050102030405030005020400010503040002050403000305"
+                   "050004030201", "ComplexError: code round-trip failed"),
+    # the 7-vertex torus, rooted at its first directed edge
+    "not_a_sphere": ("06010203040506060006040305020600010504060306000206"
+                     "050104060003010602050600040201030606000503020401",
+                     "NotA2Sphere: Euler characteristic"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_SPHERE_CODES))
+def test_bad_sphere_code_names_its_entry(capsys, tmp_path, kind):
+    from plp1 import generators as gen
+    from conftest import STACKED6, oriented
+    code, fault = BAD_SPHERE_CODES[kind]
+    good = gen.build_alpha6(oriented(STACKED6), 1, 2, 3, 4, 5).chain.to_json()
+    bad = dict(good[0], edge=dict(good[0]["edge"], to=code))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps([good[0], bad]))
+    status, _, err = run_cli(capsys, "c0-cycle", str(path), "--json")
+    assert status == 1
+    report = json.loads(err)
+    assert report["error"] == "ChainFormatError"
+    assert report["detail"].startswith(f"entry 1: {fault}")

@@ -12,6 +12,7 @@ from plp1 import moves as mv
 from plp1 import solver as sv
 
 from conftest import OCTAHEDRON, oriented
+from isomorphism import labelings
 
 
 def spec(kind, *params):
@@ -275,7 +276,7 @@ def anchor_spheres(octahedron, bipyramid, stacked6, cp2_cycle_spheres):
 def _automorphisms(L):
     """Every map labeling_i^-1 . labeling_j other than the identity: the
     orientation-preserving automorphisms of L."""
-    labs = canon.sphere_data(L).labelings
+    labs = labelings(canon.sphere_data(L))
     out = {}
     for a in labs:
         inv = {c: v for v, c in a.items()}

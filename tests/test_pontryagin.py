@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from plp1 import canonical as canon
 from plp1 import complexes as cx
 from plp1 import fixtures as fx
 from plp1 import gamma2 as g2
@@ -13,6 +12,7 @@ from plp1.moves import Move, MoveSequence
 from plp1.reduction import ReductionConfig
 
 from conftest import product_sphere_circle, relabeled, subdivided
+from isomorphism import iso_generic
 
 
 def test_input_dimension_checked(octahedron):
@@ -38,7 +38,7 @@ def test_all_nine_links_isomorphic_to_printed_table():
     cp2 = fx.cp2_9()
     L = fx.link_L()
     for v in cp2.vertices:
-        assert canon.iso_generic(cx.oriented_link(cp2, v), L) is not None
+        assert iso_generic(cx.oriented_link(cp2, v), L) is not None
 
 
 def test_assembled_chain_is_cycle_and_equivariant():
@@ -74,7 +74,7 @@ def test_sequence_independence_with_fixture_reduction():
     reductions = {}
     for v in cp2.vertices:
         lk = cx.oriented_link(cp2, v)
-        iso = canon.iso_generic(linkL, lk)
+        iso = iso_generic(linkL, lk)
         assert iso is not None
         moves = [Move(tuple(sorted(map(iso, m.delta1))),
                       tuple(sorted(map(iso, m.delta2))))

@@ -7,11 +7,11 @@ import pytest
 from plp1 import complexes as cx
 from plp1 import moves as mv
 from plp1 import reduction as red
-from plp1.canonical import iso_generic
 from plp1.fixtures import cp2_9, link_L, sequence_9
 from plp1.selfcheck import random_walk
 
 from conftest import product_sphere_circle
+from isomorphism import iso_generic
 
 
 def test_boundary_simplex_reduces_to_empty_sequence():

@@ -10,6 +10,7 @@ from plp1 import tcomplex as tc
 from plp1.selfcheck import random_skew_table, random_walk
 
 from conftest import STACKED6, oriented
+from isomorphism import iso_generic
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,7 @@ def test_symmetric_spheres_always_evaluate_to_zero(pool):
     bip = oriented(BIPYRAMID)
     flip = mv.make_move(bip, (1, 2))
     lb = mv.build_L_beta(bip, flip)
-    assert canon.iso_generic(lb, lb.reverse(), orientation=True) is not None
+    assert iso_generic(lb, lb.reverse(), orientation=True) is not None
     f = random_skew_table(pool, random.Random(9))
     for sym in (cx.boundary_simplex(3), bip):
         d = canon.sphere_data(sym)
