@@ -90,7 +90,7 @@ def cmd_c0_cycle(args) -> int:
         chain = chain_from_json(entries)
         budget = SolverBudget(radius_max=args.radius_max, seed=args.seed)
         value, cert = evaluate_c0(chain, budget=budget)
-    except (ComplexError, OSError, ValueError, KeyError) as exc:
+    except (ComplexError, OSError, ValueError, KeyError, RecursionError) as exc:
         return _fail(args, exc)
     payload = {"c0": str(value), "radius_used": cert.radius_used}
     if args.certificate:

@@ -158,10 +158,6 @@ def _sparse_sum(pairs, out=None) -> dict:
     return out
 
 
-def single_edge(key: EdgeKey, sign: int) -> Chain1:
-    return Chain1({key: Fraction(sign)})
-
-
 def mirror_chain(c: Chain1) -> Chain1:
     res = Chain1()
     res.coefficients = _sparse_sum((mk, q * s)

@@ -248,12 +248,6 @@ class MoveSequence:
             yield state, m, nxt
             state = nxt
 
-    def final(self) -> OrientedComplex:
-        state = self.initial
-        for _, _, state in self.replay():
-            pass
-        return state
-
     def to_json(self) -> str:
         return json.dumps([m.to_json() for m in self.moves])
 

@@ -5,11 +5,11 @@ cycle as an exact rational combination of generator chains certifies its
 value: the generator families span the cycle space, and the value of the
 combination is independent of the decomposition found.  The solver
 enumerates generator chains anchored at the spheres supporting the cycle,
-expanding in move-radius rings on failure.  It solves the sparse rational
-system by elimination modulo a prime and lifts the solution back to
-rationals by rational reconstruction; the exact replay of the resulting
-certificate decides whether it is accepted, and an unlucky prime is
-replaced by the next one.
+expanding in move-radius rings on failure.  Each radius is solved once
+modulo a prime and lifted by rational reconstruction; the exact replay of
+the certificate decides whether it is accepted.  An unlucky prime gives
+way to the next, and the radius grows only when some prime found the
+cycle out of span and none gave a certificate.
 """
 from __future__ import annotations
 
@@ -77,19 +77,19 @@ def _subtract(dst: dict, src: dict, c: int, p: int) -> None:
 
 
 class Eliminator:
-    """Incremental Gaussian elimination modulo a prime over sparse columns.
+    """Gaussian elimination modulo a prime over sparse columns.
 
     Columns map keys to rationals and are read as residues modulo
-    ``prime``.  Each basis row is scaled so its pivot is 1 and remembers how
-    it combines the inserted columns, so inserting a dependent column yields
-    the null relation it closes.  Results are lifted back to rationals by
-    rational reconstruction (``lift``); a lift is exact only when the prime
-    is not unlucky, so the caller checks it exactly.
+    ``prime``.  A column independent of the earlier ones becomes a basis
+    row: its pivot, the reduced column scaled so the pivot is 1, its column
+    index, and the multiples of earlier rows its reduction subtracted.
+    ``express`` reduces a vector, then substitutes back from the last row
+    to the first to write it over the columns.
     """
 
     def __init__(self, prime: int = PRIMES[0]):
         self.prime = prime
-        self.rows = []  # (pivot_key, row with row[pivot] == 1, expr)
+        self.rows = []  # (pivot, row, column, 1 / pivot entry, multiples)
 
     def _residues(self, vec: dict) -> dict:
         p = self.prime
@@ -100,39 +100,58 @@ class Eliminator:
             raise UnluckyPrime(f"a denominator vanishes modulo {p}") from None
         return {k: r for k, r in out.items() if r}
 
-    def _reduce(self, vec: dict, expr: dict):
-        for pivot, row, bc in self.rows:
-            c = vec.get(pivot)
+    def _reduce(self, vec: dict):
+        """vec reduced by the rows, and [(row index, multiple subtracted)]."""
+        steps = []
+        for j, r in enumerate(self.rows):
+            c = vec.get(r[0])
             if c:
-                _subtract(vec, row, c, self.prime)
-                _subtract(expr, bc, c, self.prime)
-        return vec, expr
+                _subtract(vec, r[1], c, self.prime)
+                steps.append((j, c))
+        return vec, steps
 
-    def lift(self, residues: dict) -> dict:
-        """The same map with each residue lifted to its rational."""
-        return {i: rational(a, self.prime) for i, a in residues.items()}
-
-    def insert(self, idx, vec: dict) -> Optional[dict]:
-        """Insert column ``idx``; when it is dependent, returns the null
-        relation {i: a_i} with sum a_i * col_i = 0, as residues modulo the
-        prime, else None."""
-        p = self.prime
-        v, expr = self._reduce(self._residues(vec), {idx: 1})
-        if not v:
-            return expr
-        pivot = min(v)
-        inv = pow(v[pivot], -1, p)
-        self.rows.append((pivot, {k: q * inv % p for k, q in v.items()},
-                          {i: q * inv % p for i, q in expr.items()}))
-        return None
+    def insert(self, idx, vec: dict) -> None:
+        """Insert column ``idx``; it becomes a row when it is independent."""
+        v, steps = self._reduce(self._residues(vec))
+        if v:
+            pivot, p = min(v), self.prime
+            inv = pow(v[pivot], -1, p)
+            self.rows.append((pivot, {k: q * inv % p for k, q in v.items()},
+                              idx, inv, steps))
 
     def express(self, vec: dict) -> Optional[dict]:
-        """{i: a_i} with vec = sum a_i * col_i, lifted to rationals, or None
-        if vec is out of span modulo the prime."""
-        v, expr = self._reduce(self._residues(vec), {})
+        """{i: a_i} with vec = sum a_i * col_i, lifted to rationals by
+        ``rational``, or None if vec is out of span modulo the prime."""
+        v, steps = self._reduce(self._residues(vec))
         if v:
             return None
-        return self.lift({i: -a for i, a in expr.items()})
+        p, out, coeff = self.prime, {}, dict(steps)  # vec over the rows
+        for k in range(len(self.rows) - 1, -1, -1):
+            if coeff.get(k):
+                _, _, idx, inv, sub = self.rows[k]
+                a = out[idx] = coeff[k] * inv % p
+                for j, c in sub:
+                    coeff[j] = (coeff.get(j, 0) - a * c) % p
+        return {i: rational(a, p) for i, a in out.items()}
+
+
+def _over_primes(solve):
+    """The first result of solve(prime) over the primes of PRIMES; solve
+    raises UnluckyPrime when its result fails the exact check and returns
+    None when it finds none.  None when no prime gave a result and at
+    least one found none."""
+    found_none = False
+    for prime in PRIMES:
+        try:
+            out = solve(prime)
+        except UnluckyPrime:
+            continue
+        if out is not None:
+            return out
+        found_none = True
+    if found_none:
+        return None
+    raise ComplexError(f"no prime of {PRIMES} gives an exact result")
 
 
 @dataclass
@@ -210,9 +229,9 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
     code itself with ``canonical.complex_from_code``.
 
     Raises NotACycle for non-cycles, NoDecompositionWithinBudget when the
-    expanding candidate search fails, and ComplexError when no prime of
-    PRIMES yields a decomposition that replays exactly; every returned
-    value has passed that replay.
+    expanding candidate search fails, and ComplexError when at some radius
+    every prime of PRIMES is unlucky; every returned value has passed the
+    exact replay of its certificate.
     """
     if not is_cycle(gamma):
         raise NotACycle("boundary is nonzero")
@@ -221,14 +240,10 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
         return Fraction(0), DecompositionCertificate([], Fraction(0), 0, 0)
 
     rng = random.Random(budget.seed)
-    primes = iter(PRIMES)
-    elim, inserted = Eliminator(next(primes)), 0
     cands: list = []
-    coord: dict = {}  # EdgeKey -> integer coordinate
     seen_chains = set()
-    anchors = dict(_support_complexes(gamma, registry or {}))
+    anchors = _support_complexes(gamma, registry or {})
     frontier = list(anchors.values())
-    target = _on_coordinates(gamma, coord)
 
     enumerated = set()
     for radius in range(budget.radius_max + 1):
@@ -253,30 +268,9 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
                         f"more than {CANDIDATE_MAX} candidates")
         rng.shuffle(batch)
         cands += batch
-        while True:
-            # An unlucky prime shows as a failed lift or a failed replay;
-            # the next prime then starts over on the same columns.
-            try:
-                for idx in range(inserted, len(cands)):
-                    elim.insert(idx, _on_coordinates(cands[idx].chain, coord))
-                inserted = len(cands)
-                combo = elim.express(target)
-                if combo is None:
-                    break
-                terms = [(cands[i], q) for i, q in sorted(combo.items())]
-                value = sum((c.value * q for c, q in terms), Fraction(0))
-                cert = DecompositionCertificate(terms, value, radius,
-                                                len(cands))
-                if not cert.residual(gamma):
-                    return value, cert
-            except UnluckyPrime:
-                pass
-            prime = next(primes, None)
-            if prime is None:
-                raise ComplexError(
-                    f"no prime of {PRIMES} gives a decomposition that "
-                    "replays exactly")
-            elim, inserted = Eliminator(prime), 0
+        cert = _over_primes(lambda p: _decompose(gamma, cands, radius, p))
+        if cert is not None:
+            return cert.value, cert
         if radius == budget.radius_max:
             break
         nxt: list = []
@@ -296,6 +290,26 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
         f"({len(cands)} candidates)")
 
 
+def _decompose(gamma: Chain1, cands: list, radius: int, prime: int):
+    """The certificate of gamma over all candidates modulo ``prime``, None
+    when gamma is out of their span there; raises UnluckyPrime when the
+    certificate does not replay exactly."""
+    coord: dict = {}  # EdgeKey -> integer coordinate, gamma's keys first
+    target = _on_coordinates(gamma, coord)
+    elim = Eliminator(prime)
+    for idx, cand in enumerate(cands):
+        elim.insert(idx, _on_coordinates(cand.chain, coord))
+    combo = elim.express(target)
+    if combo is None:
+        return None
+    terms = [(cands[i], q) for i, q in sorted(combo.items())]
+    value = sum((c.value * q for c, q in terms), Fraction(0))
+    cert = DecompositionCertificate(terms, value, radius, len(cands))
+    if cert.residual(gamma):
+        raise UnluckyPrime(f"no exact replay modulo {prime}")
+    return cert
+
+
 def _on_coordinates(chain: Chain1, coord: dict) -> dict:
     """The chain's coefficients keyed by coordinate, numbering new keys."""
     return {coord.setdefault(k, len(coord)): q
@@ -308,25 +322,21 @@ def value_null_violations(columns: Iterable) -> list:
     Every exact linear relation among generator chains must be matched by
     the same relation among their values; any violation witnesses an
     inconsistent chirality convention and is returned for inspection.
-    Each relation is found modulo a prime, lifted, and checked exactly on
-    the chains before its values are summed.
+    Each relation is read modulo a prime from ``express``, lifted, and
+    checked exactly on the chains before its values are summed.
     """
     cols = list(columns)
-    for prime in PRIMES:
-        try:
-            return _value_null_violations(cols, Eliminator(prime))
-        except UnluckyPrime:
-            continue
-    raise ComplexError(f"no prime of {PRIMES} gives exact relations")
+    return _over_primes(lambda prime: _value_null_violations(cols, prime))
 
 
-def _value_null_violations(cols: list, elim: Eliminator) -> list:
-    bad = []
+def _value_null_violations(cols: list, prime: int) -> list:
+    bad, elim = [], Eliminator(prime)
     for i, (chain, value) in enumerate(cols):
-        rel = elim.insert(i, chain.coefficients)
-        if rel is None:
+        combo = elim.express(chain.coefficients)
+        if combo is None:
+            elim.insert(i, chain.coefficients)
             continue
-        rel = elim.lift(rel)
+        rel = {i: Fraction(1), **{j: -a for j, a in combo.items()}}
         if sum((cols[j][0].scale(a) for j, a in rel.items()), Chain1()):
             raise UnluckyPrime(f"relation closed by column {i} is not exact")
         total = sum((cols[j][1] * a for j, a in rel.items()), Fraction(0))

@@ -12,7 +12,7 @@ from plp1 import pontryagin as pt
 from plp1 import selfcheck as sc
 from plp1 import solver as sv
 from plp1 import tcomplex as tc
-from plp1.reduction import ReductionConfig
+from plp1.reduction import ReductionConfig, verify_sequence
 
 from conftest import STACKED6, oriented
 from isomorphism import iso_generic
@@ -36,7 +36,8 @@ def test_criterion_1_projective_plane_number():
 
 def test_criterion_2_fixture_replay():
     t0 = time.time()
-    final = fx.sequence_9().final()
+    seq = fx.sequence_9()
+    final = verify_sequence(seq.initial, seq)
     ok = (len(final.vertices) == 5 and len(final.facets) == 5
           and iso_generic(final, cx.boundary_simplex(4)) is not None
           and time.time() - t0 < 1.0)

@@ -369,6 +369,10 @@ def test_malformed_chain_exits_one(capsys, tmp_path):
         assert report["error"] == "ChainFormatError"
         if isinstance(entries, list):
             assert report["detail"].startswith("entry 0:")
+    # nesting too deep for the JSON reader is reported, not a traceback
+    path.write_text("[" * 100_000)
+    code, _, err = run_cli(capsys, "c0-cycle", str(path), "--json")
+    assert code == 1 and json.loads(err)["error"] == "RecursionError"
 
 
 # Sphere codes that ``complex_from_code`` rejects, one per kind of fault,

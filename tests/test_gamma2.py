@@ -81,7 +81,7 @@ def test_edge_key_stable_under_relabeling(stacked6):
 def test_mirror_is_involution(stacked6):
     m = mv.make_move(stacked6, (1, 3))
     key, sign = g2.edge_of_move(stacked6, m)
-    chain = g2.single_edge(key, sign)
+    chain = g2.Chain1({key: sign})
     assert g2.mirror_chain(g2.mirror_chain(chain)) == chain
     assert g2.mirror_chain(g2.Chain1()) == g2.Chain1()
 
@@ -92,19 +92,19 @@ def test_mirror_of_symmetric_subdivision_edge():
     key, sign = g2.edge_of_move(d3, m)
     mk, ms = key.mirror()
     assert mk == key  # both endpoints are symmetric spheres, same orbit data
-    assert g2.mirror_chain(g2.single_edge(key, 1)) == g2.single_edge(key, ms)
+    assert g2.mirror_chain(g2.Chain1({key: 1})) == g2.Chain1({key: ms})
 
 
 def test_boundary_and_cycles(stacked6):
     m = mv.make_move(stacked6, (2, 3, 6))  # subdivision: endpoints differ
     key, sign = g2.edge_of_move(stacked6, m)
-    one = g2.single_edge(key, sign)
+    one = g2.Chain1({key: sign})
     assert not g2.is_cycle(one)
     assert g2.is_cycle(one - one)
     # a flip with isomorphic endpoints is a loop edge, hence a cycle
     loop_key, loop_sign = g2.edge_of_move(stacked6, mv.make_move(stacked6, (1, 3)))
     assert loop_key.a.code == loop_key.b.code
-    assert g2.is_cycle(g2.single_edge(loop_key, loop_sign))
+    assert g2.is_cycle(g2.Chain1({loop_key: loop_sign}))
 
 
 def test_cancel_loop_is_zero_chain():
@@ -124,7 +124,7 @@ def test_chain_algebra():
     d3 = cx.boundary_simplex(3)
     m = mv.make_move(d3, (0, 1, 2))
     key, sign = g2.edge_of_move(d3, m)
-    a = g2.single_edge(key, sign)
+    a = g2.Chain1({key: sign})
     assert (a + a).coefficients[key] == 2 * sign
     assert not (a - a)
     assert a.scale(Fraction(1, 2)).coefficients[key] == Fraction(sign, 2)
@@ -135,7 +135,7 @@ def test_chain_algebra():
 def test_chain_json_round_trip(stacked6):
     m = mv.make_move(stacked6, (1, 3))
     key, sign = g2.edge_of_move(stacked6, m)
-    chain = g2.single_edge(key, sign).scale(Fraction(7, 3))
+    chain = g2.Chain1({key: sign}).scale(Fraction(7, 3))
     again = g2.chain_from_json(chain.to_json())
     assert again == chain
 

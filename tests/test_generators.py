@@ -10,6 +10,7 @@ from plp1 import gamma2 as g2
 from plp1 import generators as gen
 from plp1 import moves as mv
 from plp1 import solver as sv
+from plp1.reduction import verify_sequence
 
 from conftest import OCTAHEDRON, oriented
 from isomorphism import labelings
@@ -37,7 +38,7 @@ def test_alpha1_is_closed_4_move_loop(octahedron):
     assert len(g.loop.moves) == 4
     assert g.spec.kind == "S1_0"
     assert g2.is_cycle(g.chain)
-    assert g.loop.final() == octahedron
+    assert verify_sequence(octahedron, g.loop) == octahedron
 
 
 def test_alpha1_classification_cases(octahedron):

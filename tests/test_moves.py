@@ -218,10 +218,10 @@ def test_inessential_move_gives_symmetric_L_beta():
 
 def test_sequence_replay_and_reverse():
     seq = sequence_9()
-    final = seq.final()
+    final = red.verify_sequence(seq.initial, seq)
     assert len(final.vertices) == 5 and len(final.facets) == 5
     inverse = mv.MoveSequence(final, [m.inverse() for m in reversed(seq.moves)])
-    assert inverse.final() == seq.initial
+    assert red.verify_sequence(final, inverse) == seq.initial
     text = seq.to_json()
     again = mv.MoveSequence.from_json(seq.initial, text)
     assert [m.delta1 for m in again.moves] == [m.delta1 for m in seq.moves]
@@ -229,7 +229,7 @@ def test_sequence_replay_and_reverse():
 
 def test_forward_replay_walked_backwards_is_the_inverse_replay():
     seq = sequence_9()
-    inverse = mv.MoveSequence(seq.final(),
+    inverse = mv.MoveSequence(red.verify_sequence(seq.initial, seq),
                               [m.inverse() for m in reversed(seq.moves)])
     walked = [(after, m.inverse(), before)
               for before, m, after in reversed(list(seq.replay()))]

@@ -138,7 +138,7 @@ def test_single_link_half_chain_is_not_a_cycle():
             e = g2.edge_of_move(rec.link_before, rec.induced,
                                 L2=rec.link_after)
             if e is not None:
-                half = half + g2.single_edge(*e)
+                half = half + g2.Chain1([e])
     assert not g2.is_cycle(half)
     assert g2.is_cycle(half - g2.mirror_chain(half))
 

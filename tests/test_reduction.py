@@ -24,13 +24,13 @@ def test_boundary_simplex_reduces_to_empty_sequence():
 def test_octahedron_reduces(octahedron):
     seq = red.reduce_sphere(octahedron)
     assert len(seq) >= 2
-    final = seq.final()
+    final = red.verify_sequence(seq.initial, seq)
     assert iso_generic(final, cx.boundary_simplex(3)) is not None
 
 
 def test_link_table_reduces():
     seq = red.reduce_sphere(link_L(), red.ReductionConfig(seed=0))
-    final = seq.final()
+    final = red.verify_sequence(seq.initial, seq)
     assert len(final.vertices) == 5 and len(final.facets) == 5
     assert iso_generic(final, cx.boundary_simplex(4)) is not None
 
@@ -41,7 +41,7 @@ def test_determinism():
     b = red.reduce_sphere(link_L(), cfg)
     assert a.to_json() == b.to_json()
     c = red.reduce_sphere(link_L(), red.ReductionConfig(seed=4))
-    cx.require_closed(c.final().complex)
+    cx.require_closed(red.verify_sequence(c.initial, c).complex)
 
 
 def test_verify_sequence_replays_fixture():

@@ -19,7 +19,7 @@ def test_not_a_cycle_rejected(stacked6):
     m = mv.make_move(stacked6, (2, 3, 6))
     key, sign = g2.edge_of_move(stacked6, m)
     with pytest.raises(sv.NotACycle):
-        sv.evaluate_c0(g2.single_edge(key, sign), {})
+        sv.evaluate_c0(g2.Chain1({key: sign}), {})
 
 
 def test_single_alpha4_loop(stacked6):
@@ -80,36 +80,47 @@ def test_budget_exhaustion_reported(stacked6, monkeypatch):
         sv.evaluate_c0(g.chain, budget=sv.SolverBudget(radius_max=0))
 
 
+def _combine(combo, cols):
+    out = {}
+    for i, c in combo.items():
+        for k, q in cols[i].items():
+            out[k] = out.get(k, 0) + c * q
+    return {k: q for k, q in out.items() if q}
+
+
 def test_eliminator_relations():
-    e = sv.Eliminator()
-    assert e.insert(0, {"a": Fraction(1), "b": Fraction(2)}) is None
-    assert e.insert(1, {"b": Fraction(1)}) is None
-    rel = e.insert(2, {"a": Fraction(2), "b": Fraction(1)})
-    assert rel is not None
-    rel = e.lift(rel)
-    total = {}
     cols = [{"a": Fraction(1), "b": Fraction(2)}, {"b": Fraction(1)},
             {"a": Fraction(2), "b": Fraction(1)}]
-    for i, c in rel.items():
-        for k, q in cols[i].items():
-            total[k] = total.get(k, 0) + c * q
-    assert all(v == 0 for v in total.values())
+    e = sv.Eliminator()
+    e.insert(0, cols[0])
+    e.insert(1, cols[1])
+    # the third column is dependent: express gives the relation it closes
+    rel = e.express(cols[2])
+    assert rel is not None and set(rel) <= {0, 1}
+    assert _combine(rel, cols) == cols[2]
+    e.insert(2, cols[2])
     sol = e.express({"a": Fraction(3), "b": Fraction(1)})
-    recon = {}
-    for i, c in sol.items():
-        for k, q in cols[i].items():
-            recon[k] = recon.get(k, 0) + c * q
-    assert recon == {"a": Fraction(3), "b": Fraction(1)}
+    assert _combine(sol, cols) == {"a": Fraction(3), "b": Fraction(1)}
     assert e.express({"z": Fraction(1)}) is None
 
     # Relations and solutions that are true fractions are reconstructed.
     f = sv.Eliminator()
-    assert f.insert(0, {"a": 3}) is None
-    assert f.lift(f.insert(1, {"a": 2})) == {0: Fraction(-2, 3), 1: 1}
+    f.insert(0, {"a": 3})
+    assert f.express({"a": 2}) == {0: Fraction(2, 3)}
+    f.insert(1, {"a": 2})
     assert f.express({"a": 1}) == {0: Fraction(1, 3)}
     assert f.express({"a": Fraction(5, 7)}) == {0: Fraction(5, 21)}
-    assert f.insert(2, {"b": Fraction(1, 2), "c": Fraction(-3, 4)}) is None
+    f.insert(2, {"b": Fraction(1, 2), "c": Fraction(-3, 4)})
     assert f.express({"a": 1, "b": 2, "c": -3}) == {0: Fraction(1, 3), 2: 4}
+
+    # Each row past the first was reduced by the one before it, so the
+    # solution is substituted back through both.
+    h, cols = sv.Eliminator(), [{"a": 1, "b": 1}, {"a": 1, "c": 1},
+                                {"b": 1, "c": 1}]
+    for i, c in enumerate(cols):
+        h.insert(i, c)
+    half = Fraction(1, 2)
+    assert h.express({"a": 1}) == {0: half, 1: half, 2: -half}
 
 
 def test_rational_reconstruction():
@@ -168,6 +179,35 @@ def test_unlucky_prime_is_retried(stacked6, monkeypatch, bad):
         sv.evaluate_c0(g.chain)
 
 
+def _radius_one_case(stacked6, monkeypatch):
+    """The first S2_2 (1, 1) chain at STACKED6, priced with the S3 and S5
+    families only: it decomposes one move ring out, not at radius 0."""
+    g = next(g for g in gen.enumerate_at(stacked6)
+             if g.spec == gen.GeneratorSpec("S2_2", (1, 1)))
+    monkeypatch.setattr(sv, "enumerate_at",
+                        lambda L: gen.enumerate_at(L, {"S3", "S5"}))
+    return g
+
+
+def test_decomposition_at_radius_one(stacked6, monkeypatch):
+    g = _radius_one_case(stacked6, monkeypatch)
+    value, cert = sv.evaluate_c0(g.chain)
+    assert value == g.value == Fraction(-1, 30)
+    assert (cert.radius_used, cert.columns_seen) == (1, 254)
+    assert not cert.residual(g.chain)
+
+
+def test_out_of_span_modulo_one_prime_keeps_the_radius(stacked6, monkeypatch):
+    """Modulo 5 the radius-1 columns miss the chain; the next prime still
+    finds the unpatched certificate there, also at radius_max=1."""
+    g = _radius_one_case(stacked6, monkeypatch)
+    _, cert = sv.evaluate_c0(g.chain)
+    monkeypatch.setattr(sv, "PRIMES", (5,) + sv.PRIMES)
+    for budget in (sv.SolverBudget(), sv.SolverBudget(radius_max=1)):
+        _, c = sv.evaluate_c0(g.chain, budget=budget)
+        assert c.to_json() == cert.to_json()
+
+
 def test_null_relations_retry_unlucky_prime(stacked6, monkeypatch):
     columns = [(g.chain, g.value) for g in gen.enumerate_at(stacked6)]
     assert sv.value_null_violations(columns) == []
@@ -188,7 +228,7 @@ def test_chain_scaling_linearity_property(a, b):
     d3 = boundary_simplex(3)
     m = mv.make_move(d3, (0, 1, 2))
     key, sign = g2.edge_of_move(d3, m)
-    c = g2.single_edge(key, sign)
+    c = g2.Chain1({key: sign})
     left = c.scale(a) + c.scale(b)
     right = c.scale(a + b)
     assert left == right
