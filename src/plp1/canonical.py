@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .complexes import (ComplexError, OrientedComplex, Simplex,
-                        SimplicialComplex, sort_parity)
+from .complexes import ComplexError, OrientedComplex, Simplex, sort_parity
 
 
 class NotA2Sphere(ComplexError):
@@ -296,7 +295,7 @@ def complex_from_code(code: bytes) -> OrientedComplex:
             sign = sort_parity((v, a, b))
             if signs.setdefault(f, sign) != sign:
                 raise ComplexError("inconsistent rotations in code")
-    L = OrientedComplex(SimplicialComplex(signs), signs)
+    L = OrientedComplex(signs)
     if sphere_data(L).code != bytes(code):
         raise ComplexError("code round-trip failed")
     return L

@@ -6,6 +6,11 @@ vertex labels.  Orientations are stored as a sign per facet: the sign is
 the parity of the facet's sorted vertex order relative to the chosen
 global orientation, so reversing an orientation is a constant-time
 operation and induced orientations reduce to parity bookkeeping.
+
+An ``OrientedComplex`` is a ``SimplicialComplex`` built from its sign map
+alone: its facets are the keys of the map, so it holds no second facet
+set.  The one constructor check (non-empty, pure) and the face queries
+are those of ``SimplicialComplex``.
 """
 from __future__ import annotations
 
@@ -82,30 +87,37 @@ class SimplicialComplex:
     __slots__ = ("facets", "dim", "_hash")
 
     def __init__(self, facets: Iterable[Simplex]):
-        fset = frozenset(facets)
-        if not fset:
+        facets = frozenset(facets)
+        self._freeze(facets, hash(facets))
+
+    def _freeze(self, facets, h: int) -> None:
+        """Store ``facets`` with hash ``h``; the one check that a facet
+        collection is non-empty and pure."""
+        dims = {len(f) - 1 for f in facets}
+        if not dims:
             raise ComplexError("empty facet list")
-        dims = {len(f) - 1 for f in fset}
         if len(dims) != 1:
             raise NotPure(f"facet dimensions {sorted(dims)}")
-        object.__setattr__(self, "facets", fset)
-        object.__setattr__(self, "dim", max(dims))
-        object.__setattr__(self, "_hash", hash(fset))
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "dim", dims.pop())
+        object.__setattr__(self, "_hash", h)
 
     def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SimplicialComplex is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self.facets,)
 
     def __eq__(self, other):
+        # an OrientedComplex answers first, and is never equal to a bare
+        # SimplicialComplex
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"SimplicialComplex(dim={self.dim}, facets={len(self.facets)})"
+        return f"{type(self).__name__}(dim={self.dim}, facets={len(self.facets)})"
 
     @property
     def vertices(self) -> tuple:
@@ -161,9 +173,6 @@ def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
         if r in seen:
             raise DuplicateFacet(f"facet {r} repeated")
         seen.add(r)
-    lens = {len(r) for r in rows}
-    if len(lens) != 1:
-        raise NotPure(f"rows of lengths {sorted(lens)}")
     return SimplicialComplex(rows)
 
 
@@ -183,51 +192,30 @@ def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
         [tuple(sorted(f + g)) for f in A.facets for g in B.facets])
 
 
-class OrientedComplex:
-    """Closed connected pseudomanifold with a consistent facet-sign map."""
+class OrientedComplex(SimplicialComplex):
+    """Closed connected pseudomanifold given by its facet-sign map; the
+    facets are the keys of the map."""
 
-    __slots__ = ("complex", "signs", "_hash")
+    __slots__ = ("signs",)
 
-    def __init__(self, K: SimplicialComplex, signs: Mapping[Simplex, int]):
-        if set(signs) != set(K.facets):
-            raise ComplexError("signs must cover exactly the facets")
-        object.__setattr__(self, "complex", K)
-        object.__setattr__(self, "signs", dict(signs))
-        object.__setattr__(self, "_hash",
-                           hash(frozenset(self.signs.items())))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("OrientedComplex is immutable")
+    def __init__(self, signs: Mapping[Simplex, int]):
+        signs = dict(signs)
+        object.__setattr__(self, "signs", signs)
+        self._freeze(signs.keys(), hash(frozenset(signs.items())))
 
     def __reduce__(self):
-        return type(self), (self.complex, self.signs)
+        return type(self), (self.signs,)
 
     def __eq__(self, other):
         # the keys of the sign map are the facets, so equal signs mean an
         # equal complex
         return isinstance(other, OrientedComplex) and self.signs == other.signs
 
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"OrientedComplex(dim={self.dim}, facets={len(self.facets)})"
-
-    @property
-    def facets(self):
-        return self.complex.facets
-
-    @property
-    def dim(self):
-        return self.complex.dim
-
-    @property
-    def vertices(self):
-        return self.complex.vertices
+    __hash__ = SimplicialComplex.__hash__  # a class defining __eq__ loses it
 
     def reverse(self) -> "OrientedComplex":
         """The same triangulation with the opposite orientation."""
-        return OrientedComplex(self.complex, {f: -s for f, s in self.signs.items()})
+        return OrientedComplex({f: -s for f, s in self.signs.items()})
 
 
 def _ridge_map(facets):
@@ -271,7 +259,7 @@ def orient(K: SimplicialComplex) -> OrientedComplex:
     """Globally consistent orientation found by ridge-adjacency traversal,
     seeded with +1 on the lexicographically least facet."""
     require_closed(K)
-    return OrientedComplex(K, extend_orientation(K.facets, {min(K.facets): 1}))
+    return OrientedComplex(extend_orientation(K.facets, {min(K.facets): 1}))
 
 
 def oriented_link(L: OrientedComplex, v: int) -> OrientedComplex:
@@ -292,8 +280,7 @@ def oriented_links(L: OrientedComplex, vertices: Iterable[int]) -> dict:
     for v, facets in links.items():
         if not facets or () in facets:
             raise SimplexNotInComplex(f"{(v,)} has no proper link")
-    return {v: OrientedComplex(SimplicialComplex(facets), facets)
-            for v, facets in links.items()}
+    return {v: OrientedComplex(signs) for v, signs in links.items()}
 
 
 def oriented_link_simplex(L: OrientedComplex, s: Simplex) -> OrientedComplex:
@@ -308,7 +295,7 @@ def oriented_link_simplex(L: OrientedComplex, s: Simplex) -> OrientedComplex:
             facets[rest] = sign * subsimplex_parity(f, s)
     if not facets or () in facets:
         raise SimplexNotInComplex(f"{s} has no proper link")
-    return OrientedComplex(SimplicialComplex(facets), facets)
+    return OrientedComplex(facets)
 
 
 def boundary_simplex(n: int) -> OrientedComplex:
@@ -318,23 +305,24 @@ def boundary_simplex(n: int) -> OrientedComplex:
     for i in range(n + 1):
         f = verts[:i] + verts[i + 1:]
         signs[f] = (-1) ** i
-    return OrientedComplex(SimplicialComplex(signs), signs)
+    return OrientedComplex(signs)
 
 
 def suspension(L: OrientedComplex) -> OrientedComplex:
     """Join with a fresh 0-sphere, oriented by propagation."""
     m = max(L.vertices)
     a, b = m + 1, m + 2
-    K = join(L.complex, SimplicialComplex([(a,), (b,)]))
+    K = join(L, SimplicialComplex([(a,), (b,)]))
     seed_facet = tuple(sorted(min(L.facets) + (a,)))
     seed_sign = L.signs[min(L.facets)] * subsimplex_parity(seed_facet, (a,))
-    return OrientedComplex(K, extend_orientation(K.facets, {seed_facet: seed_sign}))
+    return OrientedComplex(extend_orientation(K.facets, {seed_facet: seed_sign}))
 
 
 def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
     """Facet-list format: one facet per line, whitespace-separated integer
     labels; '#' starts a comment; optional 'dim=<n>' header; a leading
-    'orient=explicit' header makes in-row order define facet signs."""
+    'orient=explicit' header (the only 'orient=' value) makes in-row order
+    define facet signs."""
     explicit = False
     want_dim = None
     rows = []
@@ -343,7 +331,10 @@ def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
         if not line:
             continue
         if line.startswith("orient="):
-            explicit = line[7:].strip() == "explicit"
+            if line[7:].strip() != "explicit":
+                raise FacetFormatError(f"line {lineno}: unknown orientation "
+                                       f"{line!r}; the only one is 'explicit'")
+            explicit = True
             continue
         try:
             if line.startswith("dim="):
@@ -358,10 +349,9 @@ def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
     if not explicit:
         return K
     signs = {simplex(r): sort_parity(r) for r in rows}
-    oc = OrientedComplex(K, signs)
-    # explicit signs must already be a closed orientation
-    extend_orientation(K.facets, signs)
-    return oc
+    # explicit signs must already be a consistent orientation
+    extend_orientation(signs, signs)
+    return OrientedComplex(signs)
 
 
 def load_facet_file(path) -> OrientedComplex | SimplicialComplex:

@@ -198,7 +198,7 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
         # the simplex the orbit names under the sphere's labeling
         inv = {c: v for v, c in data.label.items()}
         s = tuple(sorted(inv[c] for c in orbit))
-        if not s or not L.complex.has_simplex(s) or data.orbit(s) != orbit:
+        if not s or not L.has_simplex(s) or data.orbit(s) != orbit:
             raise ValueError(f"{list(orbit)} is not the orbit of a face")
         return EndPoint(code, orbit, data.mirror_code, data.orbit(s, mirror=True))
 

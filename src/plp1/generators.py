@@ -275,7 +275,7 @@ def admissible_pair(L: OrientedComplex, e1, e2) -> bool:
     stays legal after the first.  The first flip then changes no triangle at
     e2, so the second stays legal unless both flips create the same edge."""
     e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
-    if e1 == e2 or L.complex.has_simplex(tuple(sorted(set(e1) | set(e2)))):
+    if e1 == e2 or L.has_simplex(tuple(sorted(set(e1) | set(e2)))):
         return False
     try:
         return make_move(L, e1).delta2 != make_move(L, e2).delta2
@@ -445,7 +445,7 @@ def _anchors(L: OrientedComplex, families):
                     yield build_alpha4, (x, y, z), False
                     yield build_alpha4, (x, z, y), False
     if "S5" in families:
-        for e in sorted(L.complex.faces(1)):
+        for e in sorted(L.faces(1)):
             x0, z0 = e
             tips = sorted((rot[x0][z0], rot[z0][x0]))
             for x, z in ((x0, z0), (z0, x0)):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
-                        Simplex, SimplicialComplex, extend_orientation,
-                        oriented_link, oriented_links, subsimplex_parity)
+                        Simplex, extend_orientation, oriented_link,
+                        oriented_links, subsimplex_parity)
 
 
 class MoveNotAdmissible(ComplexError):
@@ -77,7 +77,7 @@ def make_move(L: OrientedComplex, delta1: Iterable[int],
         return Move(d1, (nv,))
     s1 = set(d1)
     star = [f for f in L.facets if s1 <= set(f)]
-    return Move(d1, _cofactor(d1, star, n, L.complex.has_simplex))
+    return Move(d1, _cofactor(d1, star, n, L.has_simplex))
 
 
 def admissible_moves(L: OrientedComplex, sizes: Optional[Iterable[int]] = None) -> list:
@@ -158,7 +158,7 @@ def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
             elif s != want:
                 raise NonOrientable(f"parity conflict in the star of {d1}")
         signs[g] = want
-    return OrientedComplex(SimplicialComplex(signs), signs)
+    return OrientedComplex(signs)
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,7 @@ def build_L_beta(L1: OrientedComplex, m: Move) -> OrientedComplex:
     g0 = min(L2.facets)
     seed = tuple(sorted(g0 + (u2,)))
     seed_sign = L2.signs[g0] * subsimplex_parity(seed, (u2,))
-    signs = extend_orientation(facets, {seed: seed_sign})
-    out = OrientedComplex(SimplicialComplex(facets), signs)
+    out = OrientedComplex(extend_orientation(facets, {seed: seed_sign}))
     if oriented_link(out, u2) != L2:
         raise ComplexError("cone orientation failed to match L2")
     return out

@@ -87,7 +87,7 @@ def f_sharp(f: LocalFunction, K: OrientedComplex) -> Dict[Simplex, Fraction]:
     if m < n:
         raise DimensionMismatch("manifold dimension below function degree")
     chain: Dict[Simplex, Fraction] = {}
-    for s in K.complex.faces(m - n):
+    for s in K.faces(m - n):
         v = f.value(oriented_link_simplex(K, s))
         if v:
             chain[s] = v

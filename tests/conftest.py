@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from plp1.complexes import (OrientedComplex, SimplicialComplex, build_complex,
-                            orient, simplex, sort_parity)
+from plp1.complexes import (OrientedComplex, build_complex, orient, simplex,
+                            sort_parity)
 from plp1.moves import admissible_moves, apply_move
 
 
@@ -62,7 +62,7 @@ def relabeled(L: OrientedComplex, perm: dict) -> OrientedComplex:
     for f, s in L.signs.items():
         img = tuple(perm[v] for v in f)
         signs[simplex(img)] = s * sort_parity(img)
-    return OrientedComplex(SimplicialComplex(signs), signs)
+    return OrientedComplex(signs)
 
 
 def subdivided(K: OrientedComplex, k: int, seed: int = 0) -> OrientedComplex:

@@ -49,7 +49,7 @@ def test_mirror_code_is_code_of_reverse():
         d, rev = canon.sphere_data(L), canon.sphere_data(L.reverse())
         assert d.mirror_code == rev.code and rev.mirror_code == d.code
         for k in range(3):
-            for s in L.complex.faces(k):
+            for s in L.faces(k):
                 assert d.orbit(s, mirror=True) == rev.orbit(s)
                 assert d.anchor_orbit((s,)) == (d.orbit(s),)
     d = canon.sphere_data(chiral)
@@ -130,8 +130,8 @@ def _canonical_values(L):
     """Code, mirror code, both orbits of every face, and the ordered and
     unordered anchor orbits of some face pairs."""
     d = canon.sphere_data(L)
-    faces = [s for k in range(3) for s in sorted(L.complex.faces(k))]
-    edges, facets = sorted(L.complex.faces(1)), sorted(L.facets)
+    faces = [s for k in range(3) for s in sorted(L.faces(k))]
+    edges, facets = sorted(L.faces(1)), sorted(L.facets)
     pairs = [(facets[0], f) for f in facets] + \
             [(e, facets[0]) for e in edges[:3]]
     return (d.code, d.mirror_code,
@@ -186,18 +186,18 @@ def test_labelings_are_all_minimising_roots_cold_and_warm(cp2_sphere_pairs):
 
 def _disjoint(A, B):
     signs = {**A.signs, **B.signs}
-    return cx.OrientedComplex(cx.SimplicialComplex(signs), signs)
+    return cx.OrientedComplex(signs)
 
 
 def test_not_a_2sphere_rejected():
     d3 = cx.boundary_simplex(3)
     torus = oriented([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
                      + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
-    assert torus.complex.euler_characteristic() == 0
+    assert torus.euler_characteristic() == 0
     shift = {v: v + 10 for v in range(7)}
     two_spheres = _disjoint(d3, relabeled(d3, shift))
     sphere_and_torus = _disjoint(d3, relabeled(torus, shift))
-    assert sphere_and_torus.complex.euler_characteristic() == 2
+    assert sphere_and_torus.euler_characteristic() == 2
     for L in (cx.boundary_simplex(4), two_spheres, torus, sphere_and_torus):
         with pytest.raises(canon.NotA2Sphere):
             canon.sphere_data(L)

@@ -329,11 +329,23 @@ def test_env_fixture_override(tmp_path, monkeypatch, capsys):
 
 def test_malformed_input_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.facets"
-    for content in (b"dim=x\n1 2 3 4 5\n", b"1 2 3 4 five\n", b"\xba\xff\n"):
+    for content in (b"dim=x\n1 2 3 4 5\n", b"1 2 3 4 five\n", b"\xba\xff\n",
+                    b"orient=explicit-rows\n1 2 3 4 5\n"):
         path.write_bytes(content)
         code, _, err = run_cli(capsys, "p1", str(path), "--json")
         assert code == 1
         assert json.loads(err)["error"] == "FacetFormatError"
+
+
+def test_open_oriented_input_exits_one(capsys, tmp_path):
+    """Explicitly oriented input gets the closedness check of unoriented
+    input: a disk is rejected at its boundary ridge, not in reduction."""
+    path = tmp_path / "disk.facets"
+    for header in ("", "orient=explicit\n"):
+        path.write_text(header + "1 2 3\n1 3 4\n")
+        code, _, err = run_cli(capsys, "reduce", str(path), "--json")
+        assert code == 1
+        assert json.loads(err)["error"] == "RidgeDegreeViolation"
 
 
 def test_missing_input_exits_one(capsys, tmp_path):
@@ -354,7 +366,7 @@ def test_malformed_chain_exits_one(capsys, tmp_path):
     # an orbit out of canonical (sorted) order, and a pair that is no edge
     L = canon.complex_from_code(bytes.fromhex(edge["from"]))
     non_edge = next(list(p) for p in itertools.combinations(sorted(L.vertices), 2)
-                    if not L.complex.has_simplex(p))
+                    if not L.has_simplex(p))
     bad_orbits = [dict(good[0], edge=dict(edge, from_orbit=orbit))
                   for orbit in (edge["from_orbit"][::-1], non_edge)]
     assert edge["from_orbit"][::-1] != edge["from_orbit"]

@@ -12,7 +12,7 @@ def test_boundary_simplex_counts():
     d3 = cx.boundary_simplex(3)
     assert len(d3.facets) == 4
     assert len(d3.vertices) == 4
-    assert len(d3.complex.faces(1)) == 6
+    assert len(d3.faces(1)) == 6
     d4 = cx.boundary_simplex(4)
     assert len(d4.facets) == 5 and len(d4.vertices) == 5
 
@@ -24,6 +24,11 @@ def test_build_rejects_duplicates_and_mixed_rows():
         cx.build_complex([(1, 2, 3), (1, 2)])
     with pytest.raises(cx.ComplexError):
         cx.simplex((1, 1, 2))
+    # an oriented complex is validated by the same constructor check
+    with pytest.raises(cx.ComplexError, match="empty facet list"):
+        cx.OrientedComplex({})
+    with pytest.raises(cx.NotPure):
+        cx.OrientedComplex({(1, 2, 3): 1, (1, 2): -1})
 
 
 def test_link_table_is_closed_3_pseudomanifold():
@@ -31,21 +36,21 @@ def test_link_table_is_closed_3_pseudomanifold():
     assert L.dim == 3
     assert len(L.vertices) == 8
     assert len(L.facets) == 20
-    cx.require_closed(L.complex)
+    cx.require_closed(L)
 
 
 def test_orientations_of_boundary_simplex():
-    K = cx.boundary_simplex(3).complex
+    K = cx.boundary_simplex(3)
     seed = min(K.facets)
-    plus = cx.OrientedComplex(K, cx.extend_orientation(K.facets, {seed: 1}))
-    minus = cx.OrientedComplex(K, cx.extend_orientation(K.facets, {seed: -1}))
+    plus = cx.OrientedComplex(cx.extend_orientation(K.facets, {seed: 1}))
+    minus = cx.OrientedComplex(cx.extend_orientation(K.facets, {seed: -1}))
     assert plus == cx.orient(K)
     assert minus == plus.reverse()
     assert {plus.signs[f] * minus.signs[f] for f in K.facets} == {-1}
 
 
 def test_boundary_d5_orientable():
-    cx.orient(cx.boundary_simplex(5).complex)
+    cx.orient(cx.boundary_simplex(5))
 
 
 def test_projective_plane_is_not_orientable():
@@ -77,14 +82,14 @@ def test_join_cone_suspension():
         cx.join(cx.SimplicialComplex([(1,)]), cx.SimplicialComplex([(1,)]))
     susp = cx.suspension(oriented(OCTAHEDRON))
     assert susp.dim == 3
-    cx.require_closed(susp.complex)
+    cx.require_closed(susp)
 
 
 def test_oriented_links_are_closed_pseudomanifolds():
     for L in (cx.boundary_simplex(4), oriented(OCTAHEDRON), link_L()):
         for v in L.vertices:
             lk = cx.oriented_link(L, v)
-            cx.require_closed(lk.complex)
+            cx.require_closed(lk)
             assert lk.dim == L.dim - 1
 
 
@@ -110,8 +115,11 @@ def test_facet_text_round_trip(tmp_path):
 
 def test_pickled_complexes_keep_equality_hash_and_signs():
     L = link_L()
-    for K in (L, L.complex):
+    for K in (L, cx.SimplicialComplex(L.facets)):
         copy = pickle.loads(pickle.dumps(K))
         assert type(copy) is type(K)
         assert copy == K and hash(copy) == hash(K)
     assert pickle.loads(pickle.dumps(L)).signs == L.signs
+    # an oriented complex pickles as its sign map alone
+    assert L.__reduce__() == (cx.OrientedComplex, (L.signs,))
+    assert L != cx.SimplicialComplex(L.facets) != L

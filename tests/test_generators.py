@@ -198,10 +198,10 @@ def test_enumeration_collapses_on_symmetric_spheres():
 
 def test_octahedron_admissible_pairs_exist(octahedron):
     import itertools
-    adm = [e for e in sorted(octahedron.complex.faces(1))
+    adm = [e for e in sorted(octahedron.faces(1))
            if gen.admissible_pair(octahedron, e, e) or True]
     pairs = [(e1, e2) for e1, e2 in itertools.combinations(
-                 sorted(octahedron.complex.faces(1)), 2)
+                 sorted(octahedron.faces(1)), 2)
              if gen.admissible_pair(octahedron, e1, e2)]
     assert len(pairs) > 0
     # every edge of the octahedron is flippable, pairs exclude facet-sharing

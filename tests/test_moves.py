@@ -119,13 +119,13 @@ def test_subdivision_counts_and_euler():
     m = mv.make_move(d3, (0, 1, 2))
     L2 = mv.apply_move(d3, m)
     assert len(L2.facets) == 6 and len(L2.vertices) == 5
-    assert L2.complex.euler_characteristic() == 2
+    assert L2.euler_characteristic() == 2
 
 
 def test_euler_preserved_by_all_moves(octahedron):
     for m in mv.admissible_moves(octahedron):
         out = mv.apply_move(octahedron, m)
-        assert out.complex.euler_characteristic() == 2
+        assert out.euler_characteristic() == 2
 
 
 def test_apply_then_inverse_is_identity(octahedron):
@@ -313,6 +313,6 @@ def test_inconsistent_star_is_non_orientable(octahedron):
     f = next(f for f in sorted(octahedron.facets) if set(m.delta1) <= set(f))
     signs = dict(octahedron.signs)
     signs[f] = -signs[f]
-    bad = cx.OrientedComplex(octahedron.complex, signs)
+    bad = cx.OrientedComplex(signs)
     with pytest.raises(cx.NonOrientable):
         mv.apply_move(bad, m)

@@ -97,7 +97,7 @@ def test_suspended_non_sphere_link_rejected():
     sxs = product_sphere_circle(3)
     bad = cx.suspension(sxs)
     assert bad.dim == 4
-    cx.require_closed(bad.complex)
+    cx.require_closed(bad)
     K = pt.Manifold4Input(bad)
     cfg = ReductionConfig(seed=0, max_steps=150, restarts=2)
     with pytest.raises(pt.LinkNotCertified):
@@ -107,7 +107,7 @@ def test_suspended_non_sphere_link_rejected():
 def test_open_link_names_its_ridge():
     d5 = cx.boundary_simplex(5)
     signs = {f: s for f, s in d5.signs.items() if f != (0, 1, 2, 3, 4)}
-    K = pt.Manifold4Input(cx.OrientedComplex(cx.SimplicialComplex(signs), signs))
+    K = pt.Manifold4Input(cx.OrientedComplex(signs))
     with pytest.raises(pt.LinkNotCertified,
                        match=r"link of vertex \d: ridge \(.*\) lies in 1 facets"):
         pt.verify_4manifold(K)

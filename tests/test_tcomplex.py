@@ -113,7 +113,7 @@ def test_f_sharp_random_table_fails_cycle_on_some_4_sphere():
         L3 = random_walk(cx.boundary_simplex(4), 2 + trial % 4, rng,
                          max_vertices=8)
         K = cx.suspension(L3)
-        links = [cx.oriented_link_simplex(K, s) for s in K.complex.faces(1)]
+        links = [cx.oriented_link_simplex(K, s) for s in K.faces(1)]
         f = random_skew_table(links[::2], rng)
         if not tc.is_cycle_fsharp(f, K):
             found = True
