@@ -12,7 +12,14 @@ automorphisms (Aut+), so all canonical data but one labeling depends on the
 code alone.  It is kept in one record per code, the sphere's class: Aut+ as
 permutations of the canonical labels, the mirror class with one map onto its
 labels, and the orbits met so far.  A sphere of a known class is canonised
-by its first code-minimising root.
+by its first code-minimising root.  A sphere that is its own mirror (code
+equal to mirror code) also has orientation-reversing automorphisms (Aut-):
+each one is an element of Aut+ composed with the map onto the mirror
+class's labels.  ``SphereData.automorphisms`` gives both sets, Aut±, as
+vertex maps of the sphere.
+
+Codes are bytes, so a sphere has at most 256 vertices; a larger one raises
+SphereTooLarge.
 """
 from __future__ import annotations
 
@@ -23,6 +30,10 @@ from .complexes import ComplexError, OrientedComplex, Simplex, sort_parity
 
 class NotA2Sphere(ComplexError):
     pass
+
+
+class SphereTooLarge(ComplexError):
+    """A 2-sphere with more vertices than a canonical code can hold."""
 
 
 def rotation_system(L: OrientedComplex) -> dict:
@@ -157,7 +168,11 @@ def _min_code(rot: dict):
             continue
         if best is None and len(label) != len(rot):
             raise NotA2Sphere("not connected")
-        code = bytes(chain.from_iterable(blocks))
+        try:
+            code = bytes(chain.from_iterable(blocks))
+        except ValueError:
+            raise SphereTooLarge(f"{len(rot)} vertices; a canonical code "
+                                 "holds at most 256") from None
         if code in _CLASSES:
             return code, [label]
         best, labelings = blocks, [label]
@@ -234,23 +249,23 @@ class SphereData:
             cls = cls.mirror
         return cls.orbit(c)
 
-    def anchor_orbit(self, simplices, unordered: bool = False) -> tuple:
-        """Aut-orbit of a tuple of simplices, written in canonical labels.
-
-        One joint minimum over all code-minimising labelings of the whole
-        tuple, each simplex relabeled as in ``orbit``; with ``unordered``
-        the relabeled simplices are sorted first.  Two tuples get equal
-        orbits iff an orientation-preserving automorphism maps one onto the
-        other (onto a reordering of it, when unordered).  A tuple of
-        per-simplex orbits would not do: every facet of the octahedron has
-        the same orbit, but not every pair of facets.
-        """
-        canon = [_relabel(self.label, s) for s in simplices]
-
-        def image(p):
-            parts = [_relabel(p, c) for c in canon]
-            return tuple(sorted(parts) if unordered else parts)
-        return min(map(image, self.cls.auts))
+    def automorphisms(self) -> tuple:
+        """(Aut+, Aut-): the orientation-preserving and the
+        orientation-reversing automorphisms of the sphere, as lists of
+        vertex maps (dicts), the identity among the first.  Aut- is empty
+        unless the sphere is its own mirror; then its maps are those of
+        Aut+ composed with ``to_mirror``, which maps the sphere's labels
+        onto those of its reverse."""
+        lab, cls = self.label, self.cls
+        verts = [None] * len(lab)
+        for v, c in lab.items():
+            verts[c] = v
+        plus = [{v: verts[p[c]] for v, c in lab.items()} for p in cls.auts]
+        if cls.mirror is not cls:
+            return plus, []
+        t = cls.to_mirror
+        return plus, [{v: verts[p[t[c]]] for v, c in lab.items()}
+                      for p in cls.auts]
 
 
 _SPHERE_CACHE: dict = {}

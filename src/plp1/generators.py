@@ -8,9 +8,11 @@ configuration of its anchors, carries a closed-form rational value; the
 solver prices arbitrary cycles by exact decomposition over these.  A loop
 is written down as a fixed list of moves from its anchor sphere; the one
 replay in ``gamma2.loop_to_chain`` applies and checks them.  A loop's chain
-is label-free, so ``enumerate_at`` builds one anchor per orbit of the
-sphere's orientation-preserving automorphisms (``SphereData.anchor_orbit``).
-Anchors are classified on the sphere's rotation system (``SphereData.rot``).
+is label-free, so ``enumerate_at`` builds one anchor per orbit of Aut±,
+the sphere's orientation-preserving and orientation-reversing
+automorphisms together (``SphereData.automorphisms``): an anchor moved by
+a reversing one gives the mirror of a chain already kept.  Anchors are
+classified on the sphere's rotation system (``SphereData.rot``).
 
 Chirality conventions (which arc of a vertex star is counted as p, which
 endpoint of a shared edge is x) are fixed here once and guarded by the
@@ -462,6 +464,12 @@ def _anchors(L: OrientedComplex, families):
                     yield build_alpha6, (x, *window), False
 
 
+def _image(sigma: dict, anchor: tuple) -> tuple:
+    """An anchor moved by the vertex map sigma, its simplices sorted."""
+    return tuple(tuple(sorted([sigma[v] for v in a])) if isinstance(a, tuple)
+                 else sigma[a] for a in anchor)
+
+
 def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     """All priced generator chains anchored at L, deduplicated by chain.
 
@@ -471,27 +479,37 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
 
     A chain is written in canonical codes and orbits, so anchors that an
     orientation-preserving automorphism of L maps onto each other give the
-    same spec, bit and chain.  Each anchor is therefore built once per
-    Aut(L)-orbit (``SphereData.anchor_orbit``, unordered for α1 and α3,
-    whose swapped pair gives the negated chain).  An orbit-mate tried
-    later would give a chain already kept, so the result is the one every
-    anchor built in turn would give.
+    same spec, bit and chain; an orientation-reversing one maps L onto
+    L.reverse(), so it gives the chain built on L.reverse(), the mirror of
+    the first.  Each anchor is therefore built once per Aut± orbit: when
+    an anchor is tried, all its images are marked tried.  The unordered
+    pairs of α1 and α3 give the negated chain when swapped, so an
+    orientation-preserving automorphism that swaps a pair makes its chain
+    zero, and such a pair is not built at all; a reversing one relates the
+    chain to its negated mirror and proves nothing.  The chains and their
+    mirrors, the columns ``solver._candidates_at`` makes, are those every
+    anchor built in turn would give, first seen at the same anchors.
     """
     want = set(FAMILIES if kinds is None else kinds)
     unknown = sorted(want - set(FAMILIES))
     if unknown:
         raise ValueError(f"unknown generator families {unknown}")
-    data = canonical.sphere_data(L)
+    plus, minus = canonical.sphere_data(L).automorphisms()
     out = []
     seen = set()
     tried = set()
     for builder, anchor, unordered in _anchors(L, want):
-        # a vertex anchor is relabeled as its 0-simplex
-        faces = [a if isinstance(a, tuple) else (a,) for a in anchor]
-        orbit = (builder, data.anchor_orbit(faces, unordered))
-        if orbit in tried:
+        if (builder, anchor) in tried:
             continue
-        tried.add(orbit)
+        images = [_image(sigma, anchor) for sigma in plus]
+        zero = unordered and anchor[::-1] in images
+        images += [_image(sigma, anchor) for sigma in minus]
+        for img in images:
+            tried.add((builder, img))
+            if unordered:
+                tried.add((builder, img[::-1]))
+        if zero:
+            continue
         try:
             g = builder(L, *anchor)
         except (AnchorConfigurationInvalid, MoveNotAdmissible):

@@ -1,6 +1,7 @@
 """Test-only isomorphism helpers: a generic backtracking isomorphism search
-for oriented complexes of any dimension, and the code-minimising labelings
-of a 2-sphere spelled out from its class record."""
+for oriented complexes of any dimension, the automorphisms it finds, and
+the code-minimising labelings of a 2-sphere spelled out from its class
+record."""
 from __future__ import annotations
 
 from typing import Optional
@@ -72,14 +73,26 @@ def iso_generic(A: OrientedComplex, B: OrientedComplex,
     ``orientation``: True for orientation-preserving only, False for
     reversing only, None for either.  Returns a certified map or None.
     """
+    return next(_isomorphisms(A, B, orientation), None)
+
+
+def automorphisms(L: OrientedComplex) -> list:
+    """Every automorphism of L, the identity included, each certified
+    orientation-preserving or reversing; found by the backtracking search,
+    without canonical codes."""
+    return list(_isomorphisms(L, L, None))
+
+
+def _isomorphisms(A: OrientedComplex, B: OrientedComplex, orientation):
+    """Yield every certified isomorphism from A onto B."""
     if A.dim != B.dim or len(A.facets) != len(B.facets):
-        return None
+        return
     va, vb = A.vertices, B.vertices
     if len(va) != len(vb):
-        return None
+        return
     inv_a, inv_b = _vertex_invariant(A), _vertex_invariant(B)
     if sorted(inv_a.values()) != sorted(inv_b.values()):
-        return None
+        return
     cands = {v: [w for w in vb if inv_b[w] == inv_a[v]] for v in va}
     order = sorted(va, key=lambda v: len(cands[v]))
     adj_a = {v: set() for v in va}
@@ -90,51 +103,34 @@ def iso_generic(A: OrientedComplex, B: OrientedComplex,
     for f in B.facets:
         for w in f:
             adj_b[w].update(u for u in f if u != w)
-
-    return _iso_search(order, cands, adj_a, adj_b, A, B, orientation)
-
-
-def _iso_search(order, cands, adj_a, adj_b, A, B, orientation):
     vmap: dict = {}
     used: set = set()
-    facets_b = B.facets
-    result: list = []
 
-    def rec(k: int) -> bool:
+    def rec(k: int):
         if k == len(order):
             mapped = {tuple(sorted(vmap[x] for x in f)) for f in A.facets}
-            if mapped != facets_b:
-                return False
+            if mapped != B.facets:
+                return
             factor = _orientation_factor(A, B, vmap)
             if factor is None:
-                return False
+                return
             if orientation is not None and (factor > 0) != orientation:
-                return False
-            result.append(Isomorphism(dict(vmap), factor > 0))
-            return True
+                return
+            yield Isomorphism(dict(vmap), factor > 0)
+            return
         v = order[k]
         for w in cands[v]:
             if w in used:
                 continue
-            good = True
-            for u in adj_a[v]:
-                if u in vmap and vmap[u] not in adj_b[w]:
-                    good = False
-                    break
-            if good:
-                for u, wu in vmap.items():
-                    if u not in adj_a[v] and wu in adj_b[w]:
-                        good = False
-                        break
-            if not good:
+            if any(u in vmap and vmap[u] not in adj_b[w] for u in adj_a[v]):
+                continue
+            if any(u not in adj_a[v] and wu in adj_b[w]
+                   for u, wu in vmap.items()):
                 continue
             vmap[v] = w
             used.add(w)
-            if rec(k + 1):
-                return True
+            yield from rec(k + 1)
             del vmap[v]
             used.discard(w)
-        return False
 
-    rec(0)
-    return result[0] if result else None
+    yield from rec(0)

@@ -10,7 +10,7 @@ from plp1 import pontryagin as pt
 from plp1.fixtures import cp2_9, link_L
 
 from conftest import OCTAHEDRON, STACKED6, oriented, relabeled
-from isomorphism import iso_generic, labelings
+from isomorphism import automorphisms, iso_generic, labelings
 
 
 def test_code_equal_under_relabeling():
@@ -51,7 +51,6 @@ def test_mirror_code_is_code_of_reverse():
         for k in range(3):
             for s in L.faces(k):
                 assert d.orbit(s, mirror=True) == rev.orbit(s)
-                assert d.anchor_orbit((s,)) == (d.orbit(s),)
     d = canon.sphere_data(chiral)
     assert d.code != d.mirror_code
 
@@ -126,18 +125,19 @@ def cp2_sphere_pairs():
     return [(L, L.reverse()) for L in canon._SPHERE_CACHE]
 
 
+def _map_set(maps):
+    return {tuple(sorted(sigma.items())) for sigma in maps}
+
+
 def _canonical_values(L):
-    """Code, mirror code, both orbits of every face, and the ordered and
-    unordered anchor orbits of some face pairs."""
+    """Code, mirror code, both orbits of every face, and the Aut+ and Aut-
+    vertex maps as sets."""
     d = canon.sphere_data(L)
     faces = [s for k in range(3) for s in sorted(L.faces(k))]
-    edges, facets = sorted(L.faces(1)), sorted(L.facets)
-    pairs = [(facets[0], f) for f in facets] + \
-            [(e, facets[0]) for e in edges[:3]]
+    plus, minus = d.automorphisms()
     return (d.code, d.mirror_code,
             [(d.orbit(s), d.orbit(s, mirror=True)) for s in faces],
-            [(d.anchor_orbit(p), d.anchor_orbit(p, unordered=True))
-             for p in pairs])
+            _map_set(plus), _map_set(minus))
 
 
 def test_results_do_not_depend_on_cache_state(cp2_sphere_pairs):
@@ -182,6 +182,49 @@ def test_labelings_are_all_minimising_roots_cold_and_warm(cp2_sphere_pairs):
     for L in spheres:
         canon._SPHERE_CACHE.clear()
         check(L)
+
+
+def test_automorphisms_match_backtracking_search(cp2_sphere_pairs):
+    """The Aut+ and Aut- vertex maps read off the class record are those a
+    backtracking search finds, on both orientations of every sphere the
+    cp2_9 pipeline meets (chiral and amphichiral alike) and on symmetric
+    spheres; Aut- is empty exactly on chiral spheres."""
+    spheres = [L for pair in cp2_sphere_pairs[::5] for L in pair]
+    spheres += [cx.boundary_simplex(3), oriented(OCTAHEDRON),
+                oriented(STACKED6)]
+    kinds = set()
+    for L in spheres:
+        d = canon.sphere_data(L)
+        plus, minus = d.automorphisms()
+        isos = automorphisms(L)
+        assert _map_set(plus) == _map_set(
+            i.vertex_map for i in isos if i.orientation_preserving)
+        assert _map_set(minus) == _map_set(
+            i.vertex_map for i in isos if not i.orientation_preserving)
+        assert len(_map_set(plus)) == len(plus)
+        assert len(_map_set(minus)) == len(minus)
+        assert bool(minus) == (d.code == d.mirror_code)
+        kinds.add(bool(minus))
+    assert kinds == {True, False}
+
+
+def _bipyramid(n: int):
+    """The bipyramid over an n-gon: n + 2 vertices, apexes of degree n."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return oriented([(a, b, n) for a, b in ring] +
+                    [(a, b, n + 1) for a, b in ring])
+
+
+def test_too_large_sphere_names_the_limit():
+    """Codes are bytes: a sphere of 256 vertices is canonised, one of 257
+    or more (here with apexes of degree 255 and 256) raises SphereTooLarge,
+    a ComplexError, naming the limit."""
+    d = canon.sphere_data(_bipyramid(254))
+    assert len(d.code) == 256 + 2 * 3 * 254
+    for n in (255, 256):
+        with pytest.raises(canon.SphereTooLarge, match="at most 256"):
+            canon.sphere_data(_bipyramid(n))
+    assert issubclass(canon.SphereTooLarge, cx.ComplexError)
 
 
 def _disjoint(A, B):

@@ -13,7 +13,7 @@ from plp1 import solver as sv
 from plp1.reduction import verify_sequence
 
 from conftest import OCTAHEDRON, oriented
-from isomorphism import labelings
+from isomorphism import automorphisms
 
 
 def spec(kind, *params):
@@ -165,7 +165,7 @@ def test_value_consistency_on_null_relations(bipyramid, stacked6, octahedron):
     pins every chirality convention in the classifier."""
     columns = []
     for L in (bipyramid, stacked6, octahedron):
-        columns += [(g.chain, g.value) for g in gen.enumerate_at(L)]
+        columns += [(g.chain, g.value) for g in _every_anchor(L)]
         seen = {canon.sphere_data(L).code}
         for m in mv.admissible_moves(L):
             L2 = mv.apply_move(L, m)
@@ -173,10 +173,42 @@ def test_value_consistency_on_null_relations(bipyramid, stacked6, octahedron):
             if code in seen:
                 continue
             seen.add(code)
-            columns += [(g.chain, g.value) for g in gen.enumerate_at(L2)]
+            columns += [(g.chain, g.value) for g in _every_anchor(L2)]
     assert len(columns) > 300
     violations = sv.value_null_violations(columns)
     assert violations == []
+
+
+def _every_anchor(L):
+    """Reference enumeration: build every anchor in turn and keep the first
+    anchor of each new nonzero normalized chain."""
+    out, seen = [], set()
+    for builder, anchor, _ in gen._anchors(L, gen.FAMILIES):
+        try:
+            g = builder(L, *anchor)
+        except (gen.AnchorConfigurationInvalid, mv.MoveNotAdmissible):
+            continue
+        key = g.chain.normalized()[0].frozen()
+        if key and key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
+
+
+def _columns(chains):
+    """The solver's candidate columns of generator chains, in the order
+    ``evaluate_c0`` first sees them: each chain with its value, then its
+    mirror with the negated value, repeats of a normalized chain dropped."""
+    out, seen = [], set()
+    for g in chains:
+        for mirrored, chain, value in (
+                (False, g.chain, g.value),
+                (True, g2.mirror_chain(g.chain), -g.value)):
+            key = chain.normalized()[0].frozen()
+            if key and key not in seen:
+                seen.add(key)
+                out.append((g.spec, mirrored, chain, value))
+    return out
 
 
 def test_generator_spec_json():
@@ -237,10 +269,11 @@ def test_generator_families_are_pinned(cp2_cycle_spheres):
     wrong cofactor makes ``enumerate_at`` drop its loop silently, so the
     family counts are pinned, and every move must be the one ``make_move``
     derives on the replayed state."""
-    per_sphere, per_family = [], {}
+    per_sphere, per_family, columns = [], {}, []
     for L in cp2_cycle_spheres:
         chains = gen.enumerate_at(L)
         per_sphere.append(len(chains))
+        columns.append(len(_columns(chains)))
         for g in chains:
             assert g2.is_cycle(g.chain)
             family = g.spec.kind[:2]
@@ -248,23 +281,28 @@ def test_generator_families_are_pinned(cp2_cycle_spheres):
             for state, m, _ in g.loop.replay():
                 fresh = m.delta2[0] if len(m.delta1) == 3 else None
                 assert mv.make_move(state, m.delta1, new_vertex=fresh) == m
-    assert per_sphere == [29, 61, 61, 59, 64]
-    assert per_family == {"S1": 86, "S2": 98, "S3": 10, "S4": 13, "S5": 60,
+    # one chain per Aut± orbit of anchors: on the three spheres that are
+    # their own mirror the mirrored chains go, and the solver adds them
+    # back as mirror columns, so the column counts do not move
+    assert per_sphere == [21, 61, 61, 34, 40]
+    assert columns == [29, 108, 108, 59, 64]
+    assert per_family == {"S1": 70, "S2": 74, "S3": 8, "S4": 12, "S5": 46,
                           "S6": 7}
 
 
 def test_mirror_sphere_enumerates_mirrored_chains(cp2_cycle_spheres):
     """The solver skips an anchor whose mirror it has enumerated; that is
-    sound because the chains at L.reverse() are the mirrors of those at L,
-    with negated values."""
+    sound because the columns at L.reverse(), chains and their mirrors, are
+    the mirrors of those at L, with negated values."""
     assert cp2_cycle_spheres
     for L in cp2_cycle_spheres:
-        here = gen.enumerate_at(L)
-        there = gen.enumerate_at(L.reverse())
+        here = _columns(gen.enumerate_at(L))
+        there = _columns(gen.enumerate_at(L.reverse()))
+        assert len(here) == len(there)
         mirrored = _normalized_entries(
-            (g2.mirror_chain(g.chain), -g.value) for g in here)
+            (g2.mirror_chain(chain), -value) for _, _, chain, value in here)
         assert mirrored == _normalized_entries(
-            (g.chain, g.value) for g in there)
+            (chain, value) for _, _, chain, value in there)
 
 
 @pytest.fixture(scope="module")
@@ -272,20 +310,6 @@ def anchor_spheres(octahedron, bipyramid, stacked6, cp2_cycle_spheres):
     """Spheres with 24, 12, 6 and 2 automorphisms, and the cp2_9 cycle."""
     return [octahedron, cx.boundary_simplex(3), bipyramid, stacked6,
             *cp2_cycle_spheres]
-
-
-def _automorphisms(L):
-    """Every map labeling_i^-1 . labeling_j other than the identity: the
-    orientation-preserving automorphisms of L."""
-    labs = labelings(canon.sphere_data(L))
-    out = {}
-    for a in labs:
-        inv = {c: v for v, c in a.items()}
-        for b in labs:
-            sigma = {v: inv[b[v]] for v in b}
-            if any(sigma[v] != v for v in sigma):
-                out[tuple(sorted(sigma.items()))] = sigma
-    return list(out.values())
 
 
 def _image(sigma, anchor):
@@ -298,43 +322,52 @@ def _built(builder, L, anchor):
         g = builder(L, *anchor)
     except (gen.AnchorConfigurationInvalid, mv.MoveNotAdmissible):
         return None
-    return g.spec, g.bit, g.chain.normalized()[0]
+    return g.spec, g.bit, g.value, g.chain
 
 
 def test_builders_are_invariant_under_automorphisms(anchor_spheres):
-    """The premise of building one anchor per orbit: an automorphism moves
-    no spec, bit or normalized chain, and a swapped pair of the unordered
-    families gives the same normalized chain."""
+    """The premise of building one anchor per Aut± orbit.  An
+    orientation-preserving automorphism moves no spec, bit, value or chain,
+    and a swapped pair of the unordered families gives the negated chain,
+    so a pair that one of them swaps has chain zero.  An
+    orientation-reversing automorphism sigma is an orientation-preserving
+    map from L.reverse() onto L, so building at sigma(a) on L gives what
+    building at a on L.reverse() gives: the mirror of the chain at a.  The
+    automorphisms come from a backtracking search, not from the canonical
+    class records that ``enumerate_at`` reads."""
+    reversing = 0
     for L in anchor_spheres:
-        sigmas = _automorphisms(L)
+        isos = automorphisms(L)
+        plus = [i.vertex_map for i in isos if i.orientation_preserving]
+        minus = [i.vertex_map for i in isos if not i.orientation_preserving]
         for builder, anchor, unordered in gen._anchors(L, gen.FAMILIES):
             here = _built(builder, L, anchor)
-            for sigma in sigmas:
+            for sigma in plus:
                 assert _built(builder, L, _image(sigma, anchor)) == here
+            if minus:
+                there = _built(builder, L.reverse(), anchor)
+            for sigma in minus:
+                assert _built(builder, L, _image(sigma, anchor)) == there
+                reversing += 1
             if unordered:
                 swapped = _built(builder, L, anchor[::-1])
                 assert (swapped is None) == (here is None)
-                assert swapped is None or swapped[2] == here[2]
+                assert swapped is None or swapped[3] == -here[3]
+                if any(_image(sigma, anchor) == anchor[::-1]
+                       for sigma in plus):
+                    assert here is None or not here[3]
+    assert reversing > 1000
 
 
 def test_enumerate_matches_building_every_anchor(anchor_spheres):
     """Reference: build every anchor in turn and keep the first anchor of
-    each new normalized chain.  A key coarser than the anchor's orbit, such
-    as a tuple of per-simplex orbits, drops chains here."""
+    each new normalized chain; the solver's columns, chains and their
+    mirrors, must come out the same and in the same order.  A key coarser
+    than the anchor's Aut± orbit, such as a tuple of per-simplex orbits,
+    or a swapped pair taken for zero under an orientation-reversing map,
+    drops columns here."""
     for L in anchor_spheres:
-        reference, seen = [], set()
-        for builder, anchor, _ in gen._anchors(L, gen.FAMILIES):
-            try:
-                g = builder(L, *anchor)
-            except (gen.AnchorConfigurationInvalid, mv.MoveNotAdmissible):
-                continue
-            key = g.chain.normalized()[0].frozen()
-            if key and key not in seen:
-                seen.add(key)
-                reference.append(g)
-        assert [(g.spec.kind, g.spec.params, g.bit, g.chain)
-                for g in gen.enumerate_at(L)] == \
-            [(g.spec.kind, g.spec.params, g.bit, g.chain) for g in reference]
+        assert _columns(gen.enumerate_at(L)) == _columns(_every_anchor(L))
 
 
 # Reference rules that read anchor geometry by scanning the facets and their
