@@ -5,7 +5,10 @@ an equivalence class of essential bistellar moves, identified by the codes
 of its two endpoints together with the automorphism orbits of the move's
 simplex on either side.  The key of a move and of its inverse coincide with
 opposite signs; an inessential move (orbit data palindromic) yields no edge
-at all.  Chains are sparse maps from edge keys to exact rationals.
+at all.  Chains are sparse maps from edge keys to exact rationals: a
+coefficient is an ``int`` until a chain is scaled by a non-``int`` or read
+from JSON, and a ``Fraction`` from then on.  ``1 == Fraction(1)`` and both
+hash alike, so equality, dedup keys and ``to_json`` see no difference.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import canonical
 from .complexes import ComplexError, OrientedComplex
-from .moves import Move, MoveSequence, apply_move
+from .moves import Move, MoveNotAdmissible, apply_move
 
 
 class LoopNotClosed(ComplexError):
@@ -82,8 +85,14 @@ def edge_of_move(L: OrientedComplex, m: Move,
     return EdgeKey(src, dst), 1
 
 
+def _exact(q):
+    """q itself when it is an int, else Fraction(q)."""
+    return q if isinstance(q, int) else Fraction(q)
+
+
 class Chain1:
-    """Sparse rational 1-chain on edge keys; zero coefficients are dropped."""
+    """Sparse rational 1-chain on edge keys; zero coefficients are dropped.
+    Integer coefficients stay ints; any other becomes a Fraction."""
 
     __slots__ = ("coefficients",)
 
@@ -91,7 +100,7 @@ class Chain1:
         pairs = coefficients or ()
         if hasattr(pairs, "items"):
             pairs = pairs.items()
-        self.coefficients = _sparse_sum((k, Fraction(q)) for k, q in pairs)
+        self.coefficients = _sparse_sum((k, _exact(q)) for k, q in pairs)
 
     def __bool__(self):
         return bool(self.coefficients)
@@ -118,7 +127,7 @@ class Chain1:
         return self.scale(-1)
 
     def scale(self, q) -> "Chain1":
-        q = Fraction(q)
+        q = _exact(q)
         c = Chain1()
         if q:
             c.coefficients = {k: v * q for k, v in self.coefficients.items()}
@@ -184,7 +193,8 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
     sphere is handed out, since ``evaluate_c0`` rebuilds any code it is not
     given a complex for.  Raises ChainFormatError, naming the entry, on
     anything but a list of {"edge": {...}, "coeff": "p/q"} entries whose
-    orbits are canonical orbits of faces of their spheres.
+    orbits are canonical orbits of faces of their spheres, with no label
+    repeated.
     """
     spheres: dict = {}
 
@@ -198,7 +208,9 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
         # the simplex the orbit names under the sphere's labeling
         inv = {c: v for v, c in data.label.items()}
         s = tuple(sorted(inv[c] for c in orbit))
-        if not s or not L.has_simplex(s) or data.orbit(s) != orbit:
+        # has_simplex compares vertex sets, so a repeated label is caught here
+        if (not s or len(set(s)) < len(s) or not L.has_simplex(s)
+                or data.orbit(s) != orbit):
             raise ValueError(f"{list(orbit)} is not the orbit of a face")
         return EndPoint(code, orbit, data.mirror_code, data.orbit(s, mirror=True))
 
@@ -220,21 +232,36 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
     return Chain1(items)
 
 
-def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move]) -> Chain1:
+def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move],
+                  steps: Optional[dict] = None) -> Chain1:
     """Signed sum of the edges of a closed move loop, inessential steps
     dropped; raises LoopNotClosed unless the replay returns to a sphere
     orientation-preservingly isomorphic to the start.
+
+    ``steps`` maps (state, move) to (next state, edge or None) for every
+    step already replayed and priced; a step not in it is applied and
+    checked by ``apply_move`` (a failure names the step and records
+    nothing), priced by ``edge_of_move`` and recorded.  None means a fresh
+    table.  Loops replayed through one table share their common steps.
 
     The result is a cycle with no further check: each kept step adds
     code(after) - code(before) to the boundary and a dropped step has equal
     codes, so the boundary telescopes to code(final) - code(L0) = 0.  No
     sphere is handed out; ``evaluate_c0`` rebuilds each code it meets."""
+    steps = {} if steps is None else steps
     edges = []
-    final = L0
-    for state, m, final in MoveSequence(L0, moves).replay():
-        e = edge_of_move(state, m, L2=final)
+    state = L0
+    for j, m in enumerate(moves):
+        step = steps.get((state, m))
+        if step is None:
+            try:
+                nxt = apply_move(state, m)
+            except MoveNotAdmissible as exc:
+                raise MoveNotAdmissible(f"step {j}: {exc}") from exc
+            step = steps[state, m] = nxt, edge_of_move(state, m, L2=nxt)
+        state, e = step
         if e is not None:
             edges.append(e)
-    if canonical.sphere_data(final).code != canonical.sphere_data(L0).code:
+    if canonical.sphere_data(state).code != canonical.sphere_data(L0).code:
         raise LoopNotClosed("replay does not return to the initial sphere")
     return Chain1(edges)

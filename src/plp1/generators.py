@@ -7,12 +7,13 @@ space of the graph of 2-spheres.  Each loop, classified by the local
 configuration of its anchors, carries a closed-form rational value; the
 solver prices arbitrary cycles by exact decomposition over these.  A loop
 is written down as a fixed list of moves from its anchor sphere; the one
-replay in ``gamma2.loop_to_chain`` applies and checks them.  A loop's chain
-is label-free, so ``enumerate_at`` builds one anchor per orbit of Aut±,
-the sphere's orientation-preserving and orientation-reversing
-automorphisms together (``SphereData.automorphisms``): an anchor moved by
-a reversing one gives the mirror of a chain already kept.  Anchors are
-classified on the sphere's rotation system (``SphereData.rot``).
+replay in ``gamma2.loop_to_chain`` applies and checks them, each step
+once per call of ``enumerate_at``.  A loop's chain is label-free, so
+``enumerate_at`` builds one anchor per orbit of Aut±, the sphere's
+orientation-preserving and orientation-reversing automorphisms together
+(``SphereData.automorphisms``): an anchor moved by a reversing one gives
+the mirror of a chain already kept.  Anchors are classified on the
+sphere's rotation system (``SphereData.rot``).
 
 Chirality conventions (which arc of a vertex star is counted as p, which
 endpoint of a shared edge is x) are fixed here once and guarded by the
@@ -179,15 +180,16 @@ def _move(d1, d2) -> Move:
     return Move(tuple(sorted(d1)), tuple(sorted(d2)))
 
 
-def _finish(L: OrientedComplex, moves, spec: GeneratorSpec, bit: int) -> GeneratorChain:
+def _finish(L: OrientedComplex, moves, spec: GeneratorSpec, bit: int,
+            steps: Optional[dict]) -> GeneratorChain:
     """The generator chain of a loop written down as its moves from L.
 
-    The replay in ``loop_to_chain`` is the one place where the moves are
-    applied: ``apply_move`` accepts a move only if it is the one
-    ``make_move`` derives on the replayed state, so a wrong cofactor raises
-    MoveNotAdmissible there, and a loop that does not close raises
-    LoopNotClosed."""
-    return GeneratorChain(spec, bit, loop_to_chain(L, moves),
+    The replay in ``loop_to_chain`` (through the step table ``steps``) is
+    the one place where the moves are applied: ``apply_move`` accepts a
+    move only if it is the one ``make_move`` derives on the replayed state,
+    so a wrong cofactor raises MoveNotAdmissible there, and a loop that
+    does not close raises LoopNotClosed."""
+    return GeneratorChain(spec, bit, loop_to_chain(L, moves, steps),
                           MoveSequence(L, moves))
 
 
@@ -209,7 +211,7 @@ def classify_alpha1(L: OrientedComplex, t1: Simplex, t2: Simplex):
     return GeneratorSpec("S1_2", (len(rot[x]) - 2, len(rot[y]) - 2)), 1
 
 
-def build_alpha1(L: OrientedComplex, t1, t2) -> GeneratorChain:
+def build_alpha1(L: OrientedComplex, t1, t2, steps=None) -> GeneratorChain:
     """Subdivide t1, subdivide t2, remove the first new vertex, remove the
     second: the commutator of the two subdivisions, a closed loop for any
     two distinct triangles."""
@@ -219,7 +221,7 @@ def build_alpha1(L: OrientedComplex, t1, t2) -> GeneratorChain:
     v1 = max(L.vertices) + 1
     m1, m2 = Move(t1, (v1,)), Move(t2, (v1 + 1,))
     return _finish(L, [m1, m2, m1.inverse(), m2.inverse()],
-                   *classify_alpha1(L, t1, t2))
+                   *classify_alpha1(L, t1, t2), steps)
 
 
 # ---------------------------------------------------------------- alpha 2
@@ -251,7 +253,7 @@ def classify_alpha2(L: OrientedComplex, t: Simplex, e: Simplex):
     return None
 
 
-def build_alpha2(L: OrientedComplex, t, e) -> GeneratorChain:
+def build_alpha2(L: OrientedComplex, t, e, steps=None) -> GeneratorChain:
     """Subdivide t, flip e, remove the new vertex, flip back: the commutator
     of the subdivision and the flip, both built on L."""
     t, e = tuple(sorted(t)), tuple(sorted(e))
@@ -267,7 +269,8 @@ def build_alpha2(L: OrientedComplex, t, e) -> GeneratorChain:
     except MoveNotAdmissible as exc:
         raise AnchorConfigurationInvalid(str(exc))
     m1 = Move(t, (max(L.vertices) + 1,))
-    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified)
+    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified,
+                   steps)
 
 
 # ---------------------------------------------------------------- alpha 3
@@ -312,7 +315,7 @@ def classify_alpha3(L: OrientedComplex, e1: Simplex, e2: Simplex):
     return None
 
 
-def build_alpha3(L: OrientedComplex, e1, e2) -> GeneratorChain:
+def build_alpha3(L: OrientedComplex, e1, e2, steps=None) -> GeneratorChain:
     """Flip e1, flip e2, flip the first new edge back, flip the second back:
     the commutator of the two flips, both built on L."""
     e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
@@ -322,7 +325,8 @@ def build_alpha3(L: OrientedComplex, e1, e2) -> GeneratorChain:
     if classified is None:
         raise AnchorConfigurationInvalid("configuration is not a priced pattern")
     m1, m2 = make_move(L, e1), make_move(L, e2)
-    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified)
+    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified,
+                   steps)
 
 
 # ---------------------------------------------------------------- alpha 4
@@ -344,7 +348,7 @@ def classify_alpha4(L: OrientedComplex, x, y, z):
         "S4", (len(rot[x]) - 2, len(rot[y]) - 2, len(rot[z]) - 2)), bit
 
 
-def build_alpha4(L: OrientedComplex, x, y, z) -> GeneratorChain:
+def build_alpha4(L: OrientedComplex, x, y, z, steps=None) -> GeneratorChain:
     """Subdivide {u,y,z} with a new vertex v, flip {u,z} onto {x,v}, remove
     u (its link is then {x,y,v}); closes up to the relabeling u -> v."""
     classified = classify_alpha4(L, x, y, z)
@@ -352,7 +356,7 @@ def build_alpha4(L: OrientedComplex, x, y, z) -> GeneratorChain:
     v = max(L.vertices) + 1
     moves = [_move((u, y, z), (v,)), _move((u, z), (x, v)),
              _move((u,), (x, y, v))]
-    return _finish(L, moves, *classified)
+    return _finish(L, moves, *classified, steps)
 
 
 # ---------------------------------------------------------------- alpha 5
@@ -380,7 +384,8 @@ def classify_alpha5(L: OrientedComplex, x, y, z, u):
                                 len(rot[z]) - 2, len(rot[u]) - 1)), bit
 
 
-def build_alpha5(L: OrientedComplex, x, y, z, u) -> GeneratorChain:
+def build_alpha5(L: OrientedComplex, x, y, z, u,
+                 steps=None) -> GeneratorChain:
     """Pentagon loop: subdivide {x,z,u} with a new vertex w, flip {x,z} onto
     {y,w}, flip {w,z} onto {y,u}, remove w (its link is then {x,y,u}),
     flip {y,u} back onto {x,z}."""
@@ -389,7 +394,7 @@ def build_alpha5(L: OrientedComplex, x, y, z, u) -> GeneratorChain:
     moves = [_move((x, z, u), (w,)), _move((x, z), (y, w)),
              _move((w, z), (y, u)), _move((w,), (x, y, u)),
              _move((y, u), (x, z))]
-    return _finish(L, moves, *classified)
+    return _finish(L, moves, *classified, steps)
 
 
 # ---------------------------------------------------------------- alpha 6
@@ -403,7 +408,8 @@ def classify_alpha6(L: OrientedComplex, x, y, z, u, v):
                                 len(rot[v]) - 1)), bit
 
 
-def build_alpha6(L: OrientedComplex, x, y, z, u, v) -> GeneratorChain:
+def build_alpha6(L: OrientedComplex, x, y, z, u, v,
+                 steps=None) -> GeneratorChain:
     """Pentagon of five flips around the fan of three triangles at x:
     {x,z} onto {y,u}, {x,u} onto {y,v}, {y,u} onto {z,v}, {y,v} onto {x,z},
     {z,v} onto {x,u}."""
@@ -411,7 +417,7 @@ def build_alpha6(L: OrientedComplex, x, y, z, u, v) -> GeneratorChain:
     moves = [_move((x, z), (y, u)), _move((x, u), (y, v)),
              _move((y, u), (z, v)), _move((y, v), (x, z)),
              _move((z, v), (x, u))]
-    return _finish(L, moves, *classified)
+    return _finish(L, moves, *classified, steps)
 
 
 # ---------------------------------------------------------------- surveys
@@ -489,6 +495,11 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     chain to its negated mirror and proves nothing.  The chains and their
     mirrors, the columns ``solver._candidates_at`` makes, are those every
     anchor built in turn would give, first seen at the same anchors.
+
+    All loops of one call replay through one step table (see
+    ``loop_to_chain``), so each (state, move) step is applied and priced
+    once per call.  The α1-α3 commutators repeat steps: a move out of L
+    opens many loops, and the inverse move back into L closes many.
     """
     want = set(FAMILIES if kinds is None else kinds)
     unknown = sorted(want - set(FAMILIES))
@@ -498,6 +509,7 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     out = []
     seen = set()
     tried = set()
+    steps: dict = {}
     for builder, anchor, unordered in _anchors(L, want):
         if (builder, anchor) in tried:
             continue
@@ -511,7 +523,7 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
         if zero:
             continue
         try:
-            g = builder(L, *anchor)
+            g = builder(L, *anchor, steps=steps)
         except (AnchorConfigurationInvalid, MoveNotAdmissible):
             continue
         rep, _ = g.chain.normalized()

@@ -6,7 +6,8 @@ value: the generator families span the cycle space, and the value of the
 combination is independent of the decomposition found.  The solver
 enumerates generator chains anchored at the spheres supporting the cycle,
 expanding in move-radius rings on failure.  Each radius is solved once
-modulo a prime and lifted by rational reconstruction; the exact replay of
+modulo a prime, eliminating the columns in order only until the cycle lies
+in their span, and lifted by rational reconstruction; the exact replay of
 the certificate decides whether it is accepted.  An unlucky prime gives
 way to the next, and the radius grows only when some prime found the
 cycle out of span and none gave a certificate.
@@ -80,11 +81,13 @@ class Eliminator:
     """Gaussian elimination modulo a prime over sparse columns.
 
     Columns map keys to rationals and are read as residues modulo
-    ``prime``.  A column independent of the earlier ones becomes a basis
-    row: its pivot, the reduced column scaled so the pivot is 1, its column
-    index, and the multiples of earlier rows its reduction subtracted.
-    ``express`` reduces a vector, then substitutes back from the last row
-    to the first to write it over the columns.
+    ``prime``.  ``insert`` reduces a column once.  A column independent of
+    the earlier ones becomes a basis row: its pivot, the reduced column
+    scaled so the pivot is 1, its column index, and the multiples of
+    earlier rows its reduction subtracted.  A dependent column is reduced
+    to zero, and the steps of that reduction are what ``combination``
+    substitutes back, from the last row to the first, to write the column
+    over the earlier ones; ``express`` does the same for any vector.
     """
 
     def __init__(self, prime: int = PRIMES[0]):
@@ -94,7 +97,8 @@ class Eliminator:
     def _residues(self, vec: dict) -> dict:
         p = self.prime
         try:
-            out = {k: q.numerator * pow(q.denominator, -1, p) % p
+            out = {k: (q if type(q) is int
+                       else q.numerator * pow(q.denominator, -1, p)) % p
                    for k, q in vec.items()}
         except ValueError:
             raise UnluckyPrime(f"a denominator vanishes modulo {p}") from None
@@ -110,21 +114,27 @@ class Eliminator:
                 steps.append((j, c))
         return vec, steps
 
-    def insert(self, idx, vec: dict) -> None:
-        """Insert column ``idx``; it becomes a row when it is independent."""
+    def insert(self, idx, vec: dict) -> Optional[list]:
+        """Insert column ``idx``: None when it became a row, else the
+        reduction steps of the dependent column for ``combination``."""
         v, steps = self._reduce(self._residues(vec))
-        if v:
-            pivot, p = min(v), self.prime
-            inv = pow(v[pivot], -1, p)
-            self.rows.append((pivot, {k: q * inv % p for k, q in v.items()},
-                              idx, inv, steps))
+        if not v:
+            return steps
+        pivot, p = min(v), self.prime
+        inv = pow(v[pivot], -1, p)
+        self.rows.append((pivot, {k: q * inv % p for k, q in v.items()},
+                          idx, inv, steps))
+        return None
 
     def express(self, vec: dict) -> Optional[dict]:
         """{i: a_i} with vec = sum a_i * col_i, lifted to rationals by
         ``rational``, or None if vec is out of span modulo the prime."""
         v, steps = self._reduce(self._residues(vec))
-        if v:
-            return None
+        return None if v else self.combination(steps)
+
+    def combination(self, steps: list) -> dict:
+        """{i: a_i}, lifted by ``rational``, with sum a_i * col_i the
+        vector that ``steps`` reduced to zero."""
         p, out, coeff = self.prime, {}, dict(steps)  # vec over the rows
         for k in range(len(self.rows) - 1, -1, -1):
             if coeff.get(k):
@@ -291,14 +301,28 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
 
 
 def _decompose(gamma: Chain1, cands: list, radius: int, prime: int):
-    """The certificate of gamma over all candidates modulo ``prime``, None
+    """The certificate of gamma over the candidates modulo ``prime``, None
     when gamma is out of their span there; raises UnluckyPrime when the
-    certificate does not replay exactly."""
+    certificate does not replay exactly.
+
+    Columns are inserted in order until gamma lies in their span.  Its
+    residual is reduced by each new row alone, which equals reducing it by
+    all rows so far, since a row is zero at every earlier row's pivot.  A
+    later column could only add a row with coefficient zero, because
+    gamma's representation over independent rows is unique; so the
+    certificate is the one all columns would give."""
     coord: dict = {}  # EdgeKey -> integer coordinate, gamma's keys first
     target = _on_coordinates(gamma, coord)
     elim = Eliminator(prime)
+    residual = elim._residues(target)
     for idx, cand in enumerate(cands):
-        elim.insert(idx, _on_coordinates(cand.chain, coord))
+        if not residual:
+            break
+        if elim.insert(idx, _on_coordinates(cand.chain, coord)) is None:
+            pivot, row = elim.rows[-1][:2]
+            c = residual.get(pivot)
+            if c:
+                _subtract(residual, row, c, prime)
     combo = elim.express(target)
     if combo is None:
         return None
@@ -322,8 +346,9 @@ def value_null_violations(columns: Iterable) -> list:
     Every exact linear relation among generator chains must be matched by
     the same relation among their values; any violation witnesses an
     inconsistent chirality convention and is returned for inspection.
-    Each relation is read modulo a prime from ``express``, lifted, and
-    checked exactly on the chains before its values are summed.
+    Each column is inserted once; a dependent one's relation is
+    substituted back from its reduction steps, lifted, and checked exactly
+    on the chains before its values are summed.
     """
     cols = list(columns)
     return _over_primes(lambda prime: _value_null_violations(cols, prime))
@@ -332,10 +357,10 @@ def value_null_violations(columns: Iterable) -> list:
 def _value_null_violations(cols: list, prime: int) -> list:
     bad, elim = [], Eliminator(prime)
     for i, (chain, value) in enumerate(cols):
-        combo = elim.express(chain.coefficients)
-        if combo is None:
-            elim.insert(i, chain.coefficients)
+        steps = elim.insert(i, chain.coefficients)
+        if steps is None:
             continue
+        combo = elim.combination(steps)
         rel = {i: Fraction(1), **{j: -a for j, a in combo.items()}}
         if sum((cols[j][0].scale(a) for j, a in rel.items()), Chain1()):
             raise UnluckyPrime(f"relation closed by column {i} is not exact")

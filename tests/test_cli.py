@@ -363,12 +363,13 @@ def test_malformed_chain_exits_one(capsys, tmp_path):
     from conftest import STACKED6, oriented
     good = gen.build_alpha6(oriented(STACKED6), 1, 2, 3, 4, 5).chain.to_json()
     edge = good[0]["edge"]
-    # an orbit out of canonical (sorted) order, and a pair that is no edge
+    # an orbit out of canonical (sorted) order, a pair that is no edge, and
+    # a repeated label, which would name a vertex as if it were an edge
     L = canon.complex_from_code(bytes.fromhex(edge["from"]))
     non_edge = next(list(p) for p in itertools.combinations(sorted(L.vertices), 2)
                     if not L.has_simplex(p))
     bad_orbits = [dict(good[0], edge=dict(edge, from_orbit=orbit))
-                  for orbit in (edge["from_orbit"][::-1], non_edge)]
+                  for orbit in (edge["from_orbit"][::-1], non_edge, [0, 0])]
     assert edge["from_orbit"][::-1] != edge["from_orbit"]
     path = tmp_path / "chain.json"
     for entries in ([1], {"a": 1},

@@ -250,14 +250,20 @@ def _normalized_entries(chains_and_values):
 
 
 @pytest.fixture(scope="module")
-def cp2_cycle_spheres():
-    """The spheres under the seed-0 cycle of cp2_9, in code order."""
+def cp2_cycle():
+    """The seed-0 cycle of cp2_9 and its registry of spheres."""
     from plp1.fixtures import cp2_9
     from plp1 import pontryagin as pt
     from plp1.reduction import ReductionConfig
     K = pt.Manifold4Input(cp2_9())
     report = pt.verify_4manifold(K, ReductionConfig(seed=0))
-    gamma, registry = pt.assemble_p1_cycle(K, report.links)
+    return pt.assemble_p1_cycle(K, report.links)
+
+
+@pytest.fixture(scope="module")
+def cp2_cycle_spheres(cp2_cycle):
+    """The spheres under the seed-0 cycle of cp2_9, in code order."""
+    gamma, registry = cp2_cycle
     codes = {code for key in gamma.coefficients
              for code in (key.a.code, key.b.code)}
     return [registry.get(code) or canon.complex_from_code(code)
@@ -303,6 +309,56 @@ def test_mirror_sphere_enumerates_mirrored_chains(cp2_cycle_spheres):
             (g2.mirror_chain(chain), -value) for _, _, chain, value in here)
         assert mirrored == _normalized_entries(
             (chain, value) for _, _, chain, value in there)
+
+
+def test_enumerate_replays_each_step_once(cp2_cycle_spheres, monkeypatch):
+    """One ``enumerate_at`` call applies each (state, move) step of its
+    loops once: a reference replay of the loops it builds counts the
+    distinct steps, and ``gamma2`` calls ``apply_move`` exactly that
+    often, although the loops take more steps than that."""
+    loops, applied = [], []
+    loop_to_chain, apply_move = g2.loop_to_chain, g2.apply_move
+
+    def record_loop(L, moves, steps=None):
+        loops.append((L, list(moves)))
+        return loop_to_chain(L, moves, steps)
+
+    monkeypatch.setattr(gen, "loop_to_chain", record_loop)
+    monkeypatch.setattr(g2, "apply_move",
+                        lambda L, m: applied.append(m) or apply_move(L, m))
+    for L in cp2_cycle_spheres:
+        loops.clear()
+        applied.clear()
+        gen.enumerate_at(L)
+        after, taken = {}, 0
+        for state, moves in loops:
+            for m in moves:
+                if (state, m) not in after:
+                    after[state, m] = mv.apply_move(state, m)
+                state = after[state, m]
+                taken += 1
+        assert len(applied) == len(after) < taken
+
+
+def test_loop_chains_hold_integers(cp2_cycle, cp2_cycle_spheres):
+    """Loop chains, their mirrors and the assembled cycle hold ints; only
+    scaling by a non-integer and reading JSON make Fractions, which equal
+    and hash like the integers they stand for."""
+    import json
+    gamma, _ = cp2_cycle
+    chains = [gamma] + [c for L in cp2_cycle_spheres
+                        for g in gen.enumerate_at(L)
+                        for c in (g.chain, g2.mirror_chain(g.chain),
+                                  g.chain.normalized()[0])]
+    for c in chains:
+        assert c and all(type(q) is int for _, q in c.items())
+    half = gamma.scale(Fraction(1, 2))
+    assert all(type(q) is Fraction for _, q in half.items())
+    assert half.scale(2) == gamma and half.scale(2).frozen() == gamma.frozen()
+    read = g2.chain_from_json(json.loads(json.dumps(gamma.to_json())))
+    assert all(type(q) is Fraction for _, q in read.items())
+    assert read == gamma and read.frozen() == gamma.frozen()
+    assert read.to_json() == gamma.to_json()
 
 
 @pytest.fixture(scope="module")

@@ -80,6 +80,76 @@ def test_budget_exhaustion_reported(stacked6, monkeypatch):
         sv.evaluate_c0(g.chain, budget=sv.SolverBudget(radius_max=0))
 
 
+def _decompose_every_column(gamma, cands, radius, prime):
+    """Reference for ``solver._decompose``: insert every column, then
+    express gamma over them."""
+    coord = {}
+    target = sv._on_coordinates(gamma, coord)
+    elim = sv.Eliminator(prime)
+    for idx, cand in enumerate(cands):
+        elim.insert(idx, sv._on_coordinates(cand.chain, coord))
+    combo = elim.express(target)
+    if combo is None:
+        return None
+    terms = [(cands[i], q) for i, q in sorted(combo.items())]
+    value = sum((c.value * q for c, q in terms), Fraction(0))
+    cert = sv.DecompositionCertificate(terms, value, radius, len(cands))
+    if cert.residual(gamma):
+        raise sv.UnluckyPrime(f"no exact replay modulo {prime}")
+    return cert
+
+
+@pytest.fixture(scope="module")
+def priced_cycles():
+    """(name, cycle, registry, seed): the cycles of cp2_9, its reverse and
+    cp2_9 after 1 to 4 facet subdivisions, and the chains of
+    ``test_cli.PINNED_C0_CYCLE`` as read back from JSON."""
+    import json
+    import conftest
+    from plp1 import pontryagin as pt
+    from plp1.fixtures import cp2_9
+    from plp1.reduction import ReductionConfig
+    out = []
+    for k in range(5):
+        for rev in ((False, True) if k == 0 else (False,)):
+            K = conftest.subdivided(cp2_9(), k)
+            K = pt.Manifold4Input(K.reverse() if rev else K)
+            links = pt.verify_4manifold(K).links
+            gamma, registry = pt.assemble_p1_cycle(K, links)
+            out.append((f"cp2_9+{k}{'r' if rev else ''}", gamma, registry, 0))
+    K = pt.Manifold4Input(cp2_9())
+    gamma, _ = pt.assemble_p1_cycle(
+        K, pt.verify_4manifold(K, ReductionConfig(seed=0)).links)
+    alpha6 = gen.build_alpha6(conftest.oriented(conftest.STACKED6),
+                              1, 2, 3, 4, 5).chain
+    for name, chain in (("alpha6", alpha6), ("cp2_9", gamma)):
+        read = g2.chain_from_json(json.loads(json.dumps(chain.to_json())))
+        out += [(f"{name} seed {seed}", read, {}, seed) for seed in (0, 3)]
+    return out
+
+
+def test_early_stop_keeps_the_certificate(priced_cycles, monkeypatch):
+    """Eliminating only until gamma lies in the span gives the certificate
+    of eliminating every column, with fewer inserts than columns."""
+    inserts = []
+    insert = sv.Eliminator.insert
+    monkeypatch.setattr(sv.Eliminator, "insert",
+                        lambda self, idx, vec: inserts.append(idx)
+                        or insert(self, idx, vec))
+    found = {}
+    for name, gamma, registry, seed in priced_cycles:
+        inserts.clear()
+        budget = sv.SolverBudget(seed=seed)
+        value, cert = sv.evaluate_c0(gamma, registry, budget)
+        found[name] = (len(inserts), cert.columns_seen)
+        with monkeypatch.context() as m:
+            m.setattr(sv, "_decompose", _decompose_every_column)
+            ref_value, ref = sv.evaluate_c0(gamma, registry, budget)
+        assert (value, cert.terms) == (ref_value, ref.terms), name
+        assert cert.to_json() == ref.to_json(), name
+    assert found["cp2_9+0"][0] < found["cp2_9+0"][1] == 221
+
+
 def _combine(combo, cols):
     out = {}
     for i, c in combo.items():
