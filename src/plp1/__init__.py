@@ -1,7 +1,7 @@
 """Exact first Pontryagin numbers of triangulated oriented 4-manifolds."""
 
-from .complexes import (OrientedComplex, SimplicialComplex, boundary_simplex,
-                        build_complex, load_facet_file, orient, oriented_link)
+from .complexes import (OrientedComplex, boundary_simplex, load_facet_file, orient,
+                        oriented_link)
 from .moves import Move, MoveSequence, admissible_moves, apply_move
 from .pontryagin import Manifold4Input, pontryagin_number, verify_4manifold
 from .reduction import ReductionConfig, reduce_sphere, verify_sequence
@@ -10,8 +10,8 @@ from .solver import SolverBudget, evaluate_c0
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrientedComplex", "SimplicialComplex", "boundary_simplex",
-    "build_complex", "load_facet_file", "orient", "oriented_link",
+    "OrientedComplex", "boundary_simplex", "load_facet_file", "orient",
+    "oriented_link",
     "Move", "MoveSequence", "admissible_moves", "apply_move",
     "Manifold4Input", "pontryagin_number", "verify_4manifold",
     "ReductionConfig", "reduce_sphere", "verify_sequence",

@@ -5,8 +5,7 @@ import argparse
 import json
 import sys
 
-from .complexes import (ComplexError, OrientedComplex, load_facet_file, orient,
-                        require_closed)
+from .complexes import ComplexError, OrientedComplex, load_facet_file, require_closed
 from .gamma2 import chain_from_json
 from .pontryagin import Manifold4Input, pontryagin_number, verify_4manifold
 from .reduction import ReductionConfig, reduce_sphere
@@ -16,10 +15,8 @@ from .solver import SolverBudget, evaluate_c0
 
 def _load_oriented(path) -> OrientedComplex:
     L = load_facet_file(path)
-    if isinstance(L, OrientedComplex):
-        require_closed(L)
-        return L
-    return orient(L)
+    require_closed(L.facets)
+    return L
 
 
 def _reduction_config(args) -> ReductionConfig:

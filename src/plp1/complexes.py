@@ -7,10 +7,10 @@ the parity of the facet's sorted vertex order relative to the chosen
 global orientation, so reversing an orientation is a constant-time
 operation and induced orientations reduce to parity bookkeeping.
 
-An ``OrientedComplex`` is a ``SimplicialComplex`` built from its sign map
-alone: its facets are the keys of the map, so it holds no second facet
-set.  The one constructor check (non-empty, pure) and the face queries
-are those of ``SimplicialComplex``.
+``OrientedComplex`` is the one complex type: it is its sign map, and its
+facets are the keys of the map.  Unoriented facet rows are only input to
+``orient``, which checks them as the constructor does (non-empty, pure)
+and rejects repeated facets and a complex that is not closed.
 """
 from __future__ import annotations
 
@@ -46,10 +46,6 @@ class SimplexNotInComplex(ComplexError):
     pass
 
 
-class VertexCollision(ComplexError):
-    pass
-
-
 class FacetFormatError(ComplexError):
     pass
 
@@ -81,37 +77,53 @@ def subsimplex_parity(facet: Simplex, sub: Simplex) -> int:
     return -1 if shift % 2 else 1
 
 
-class SimplicialComplex:
-    """Pure facet-based complex.  Immutable and hashable."""
+def _pure_dim(facets) -> int:
+    """Dimension of a facet collection; the one check that it is non-empty
+    and pure."""
+    dims = {len(f) - 1 for f in facets}
+    if not dims:
+        raise ComplexError("empty facet list")
+    if len(dims) != 1:
+        raise NotPure(f"facet dimensions {sorted(dims)}")
+    return dims.pop()
 
-    __slots__ = ("facets", "dim", "_hash")
 
-    def __init__(self, facets: Iterable[Simplex]):
-        facets = frozenset(facets)
-        self._freeze(facets, hash(facets))
+def _facet_rows(rows: Iterable[Iterable[int]]) -> list:
+    """The facets of vertex-label rows, in row order; rejects repeated
+    labels, repeated facets and a collection that is empty or not pure."""
+    facets = [simplex(r) for r in rows]
+    seen = set()
+    for f in facets:
+        if f in seen:
+            raise DuplicateFacet(f"facet {f} repeated")
+        seen.add(f)
+    _pure_dim(facets)
+    return facets
 
-    def _freeze(self, facets, h: int) -> None:
-        """Store ``facets`` with hash ``h``; the one check that a facet
-        collection is non-empty and pure."""
-        dims = {len(f) - 1 for f in facets}
-        if not dims:
-            raise ComplexError("empty facet list")
-        if len(dims) != 1:
-            raise NotPure(f"facet dimensions {sorted(dims)}")
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "dim", dims.pop())
-        object.__setattr__(self, "_hash", h)
+
+class OrientedComplex:
+    """Pure complex given by its facet-sign map; the facets are the keys of
+    the map.  Immutable and hashable; pickles as its sign map."""
+
+    __slots__ = ("signs", "facets", "dim", "_hash")
+
+    def __init__(self, signs: Mapping[Simplex, int]):
+        signs = dict(signs)
+        object.__setattr__(self, "dim", _pure_dim(signs))
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "facets", signs.keys())
+        object.__setattr__(self, "_hash", hash(frozenset(signs.items())))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), (self.facets,)
+        return type(self), (self.signs,)
 
     def __eq__(self, other):
-        # an OrientedComplex answers first, and is never equal to a bare
-        # SimplicialComplex
-        return isinstance(other, SimplicialComplex) and self.facets == other.facets
+        # the keys of the sign map are the facets, so equal signs mean an
+        # equal complex
+        return isinstance(other, OrientedComplex) and self.signs == other.signs
 
     def __hash__(self):
         return self._hash
@@ -133,85 +145,11 @@ class SimplicialComplex:
     def has_simplex(self, s: Simplex) -> bool:
         return any(set(s) <= set(f) for f in self.facets)
 
-    def ridge_degrees(self) -> dict:
-        deg: dict = {}
-        for f in self.facets:
-            for r in itertools.combinations(f, len(f) - 1):
-                deg[r] = deg.get(r, 0) + 1
-        return deg
-
-    def is_connected(self) -> bool:
-        """Connectivity of the facet-ridge adjacency graph."""
-        ridge_map: dict = {}
-        for f in self.facets:
-            for r in itertools.combinations(f, len(f) - 1):
-                ridge_map.setdefault(r, []).append(f)
-        start = next(iter(self.facets))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            f = queue.popleft()
-            for r in itertools.combinations(f, len(f) - 1):
-                for g in ridge_map[r]:
-                    if g not in seen:
-                        seen.add(g)
-                        queue.append(g)
-        return len(seen) == len(self.facets)
-
     def euler_characteristic(self) -> int:
         chi = 0
         for d in range(self.dim + 1):
             chi += (-1) ** d * len(self.faces(d))
         return chi
-
-
-def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Validated pure complex from a list of vertex-label rows."""
-    rows = [simplex(r) for r in facet_list]
-    seen = set()
-    for r in rows:
-        if r in seen:
-            raise DuplicateFacet(f"facet {r} repeated")
-        seen.add(r)
-    return SimplicialComplex(rows)
-
-
-def require_closed(K: SimplicialComplex) -> None:
-    bad = {r: d for r, d in K.ridge_degrees().items() if d != 2}
-    if bad:
-        r, d = next(iter(bad.items()))
-        raise RidgeDegreeViolation(f"ridge {r} lies in {d} facets")
-    if not K.is_connected():
-        raise ComplexError("complex is not connected")
-
-
-def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
-    if set(A.vertices) & set(B.vertices):
-        raise VertexCollision(f"{set(A.vertices) & set(B.vertices)} shared")
-    return SimplicialComplex(
-        [tuple(sorted(f + g)) for f in A.facets for g in B.facets])
-
-
-class OrientedComplex(SimplicialComplex):
-    """Closed connected pseudomanifold given by its facet-sign map; the
-    facets are the keys of the map."""
-
-    __slots__ = ("signs",)
-
-    def __init__(self, signs: Mapping[Simplex, int]):
-        signs = dict(signs)
-        object.__setattr__(self, "signs", signs)
-        self._freeze(signs.keys(), hash(frozenset(signs.items())))
-
-    def __reduce__(self):
-        return type(self), (self.signs,)
-
-    def __eq__(self, other):
-        # the keys of the sign map are the facets, so equal signs mean an
-        # equal complex
-        return isinstance(other, OrientedComplex) and self.signs == other.signs
-
-    __hash__ = SimplicialComplex.__hash__  # a class defining __eq__ loses it
 
     def reverse(self) -> "OrientedComplex":
         """The same triangulation with the opposite orientation."""
@@ -219,9 +157,12 @@ class OrientedComplex(SimplicialComplex):
 
 
 def _ridge_map(facets):
+    """Ridge -> [(facet, index of the vertex the facet adds)]; the ridges of
+    each facet come from the one without its last vertex on, the order in
+    which ``require_closed`` names an open ridge."""
     out: dict = {}
     for f in facets:
-        for i in range(len(f)):
+        for i in reversed(range(len(f))):
             r = f[:i] + f[i + 1:]
             out.setdefault(r, []).append((f, i))
     return out
@@ -255,11 +196,33 @@ def extend_orientation(facets, seed_signs: Mapping[Simplex, int]) -> dict:
     return signs
 
 
-def orient(K: SimplicialComplex) -> OrientedComplex:
-    """Globally consistent orientation found by ridge-adjacency traversal,
-    seeded with +1 on the lexicographically least facet."""
-    require_closed(K)
-    return OrientedComplex(extend_orientation(K.facets, {min(K.facets): 1}))
+def require_closed(facets) -> None:
+    """Raise unless every ridge lies in exactly two facets (naming the first
+    open ridge in facet order) and the facets are connected across ridges."""
+    ridge_map = _ridge_map(facets)
+    for r, cofaces in ridge_map.items():
+        if len(cofaces) != 2:
+            raise RidgeDegreeViolation(f"ridge {r} lies in {len(cofaces)} facets")
+    start = next(iter(facets))
+    seen = {start}
+    stack = [start]
+    while stack:
+        f = stack.pop()
+        for i in range(len(f)):
+            for g, _ in ridge_map[f[:i] + f[i + 1:]]:
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    if len(seen) != len(facets):
+        raise ComplexError("complex is not connected")
+
+
+def orient(rows: Iterable[Iterable[int]]) -> OrientedComplex:
+    """The closed complex of the facet rows, oriented by ridge-adjacency
+    traversal seeded with +1 on the lexicographically least facet."""
+    facets = frozenset(_facet_rows(rows))
+    require_closed(facets)
+    return OrientedComplex(extend_orientation(facets, {min(facets): 1}))
 
 
 def oriented_link(L: OrientedComplex, v: int) -> OrientedComplex:
@@ -309,20 +272,21 @@ def boundary_simplex(n: int) -> OrientedComplex:
 
 
 def suspension(L: OrientedComplex) -> OrientedComplex:
-    """Join with a fresh 0-sphere, oriented by propagation."""
+    """Join with a fresh 0-sphere {a, b}, oriented by propagation; a and b
+    exceed every vertex of L, so each facet is a facet of L plus a or b."""
     m = max(L.vertices)
     a, b = m + 1, m + 2
-    K = join(L, SimplicialComplex([(a,), (b,)]))
-    seed_facet = tuple(sorted(min(L.facets) + (a,)))
+    facets = [f + (c,) for f in L.facets for c in (a, b)]
+    seed_facet = min(L.facets) + (a,)
     seed_sign = L.signs[min(L.facets)] * subsimplex_parity(seed_facet, (a,))
-    return OrientedComplex(extend_orientation(K.facets, {seed_facet: seed_sign}))
+    return OrientedComplex(extend_orientation(facets, {seed_facet: seed_sign}))
 
 
-def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
+def parse_facet_text(text: str) -> OrientedComplex:
     """Facet-list format: one facet per line, whitespace-separated integer
     labels; '#' starts a comment; optional 'dim=<n>' header; a leading
     'orient=explicit' header (the only 'orient=' value) makes in-row order
-    define facet signs."""
+    define facet signs.  Rows without it are oriented by ``orient``."""
     explicit = False
     want_dim = None
     rows = []
@@ -331,6 +295,9 @@ def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
         if not line:
             continue
         if line.startswith("orient="):
+            if rows:
+                raise FacetFormatError(f"line {lineno}: {line!r} follows facet "
+                                       "rows; 'orient=' is a leading header")
             if line[7:].strip() != "explicit":
                 raise FacetFormatError(f"line {lineno}: unknown orientation "
                                        f"{line!r}; the only one is 'explicit'")
@@ -343,18 +310,19 @@ def parse_facet_text(text: str) -> OrientedComplex | SimplicialComplex:
                 rows.append([int(tok) for tok in line.split()])
         except ValueError:
             raise FacetFormatError(f"line {lineno}: not integers: {line!r}") from None
-    K = build_complex(rows)
-    if want_dim is not None and K.dim != want_dim:
-        raise ComplexError(f"declared dim={want_dim} but facets have dim {K.dim}")
+    facets = _facet_rows(rows)
+    dim = len(facets[0]) - 1
+    if want_dim is not None and dim != want_dim:
+        raise ComplexError(f"declared dim={want_dim} but facets have dim {dim}")
     if not explicit:
-        return K
-    signs = {simplex(r): sort_parity(r) for r in rows}
+        return orient(facets)
+    signs = dict(zip(facets, map(sort_parity, rows)))
     # explicit signs must already be a consistent orientation
     extend_orientation(signs, signs)
     return OrientedComplex(signs)
 
 
-def load_facet_file(path) -> OrientedComplex | SimplicialComplex:
+def load_facet_file(path) -> OrientedComplex:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()

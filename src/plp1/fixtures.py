@@ -1,31 +1,27 @@
 """Shipped data: the 9-vertex projective-plane triangulation, its vertex
 link, the nine-move reduction of that link, and the 5-simplex boundary.
-
-Set the P1_FIXTURES environment variable to load the files from another
-directory instead of the packaged ones.
 """
 from __future__ import annotations
 
-import os
 from importlib import resources
 from pathlib import Path
 
-from .complexes import OrientedComplex, load_facet_file
+from .complexes import OrientedComplex, parse_facet_text
 from .moves import MoveSequence
 
 
 def fixture_path(name: str) -> Path:
-    override = os.environ.get("P1_FIXTURES")
-    if override:
-        return Path(override) / name
     return Path(str(resources.files("plp1") / "fixtures" / name))
 
 
 def load_oriented(name: str) -> OrientedComplex:
-    L = load_facet_file(fixture_path(name))
-    if not isinstance(L, OrientedComplex):
+    """A shipped complex; its orientation, which fixes the sign of p1, must
+    be the one written in the file."""
+    text = fixture_path(name).read_text(encoding="utf-8")
+    if not any(line.split("#", 1)[0].strip() == "orient=explicit"
+               for line in text.splitlines()):
         raise TypeError(f"fixture {name} lacks an explicit orientation")
-    return L
+    return parse_facet_text(text)
 
 
 def boundary_d5() -> OrientedComplex:

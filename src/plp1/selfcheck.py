@@ -106,11 +106,10 @@ def suite_value_table():
 
 
 def _fixture_loops():
-    from .complexes import build_complex, orient
+    from .complexes import orient
     d3 = boundary_simplex(3)
-    stacked = orient(build_complex(
-        [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-         (2, 6, 3), (3, 6, 4), (4, 6, 5)]))
+    stacked = orient([(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+                      (2, 6, 3), (3, 6, 4), (4, 6, 5)])
     loops = [build_alpha4(d3, 1, 2, 3), build_alpha6(stacked, 1, 2, 3, 4, 5)]
     loops += enumerate_at(stacked, {"S2", "S5"})[:6]
     return loops

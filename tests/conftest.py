@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from plp1.complexes import (OrientedComplex, build_complex, orient, simplex,
-                            sort_parity)
+from plp1.complexes import OrientedComplex, orient, simplex, sort_parity
 from plp1.moves import admissible_moves, apply_move
 
 
 def oriented(facets) -> OrientedComplex:
-    return orient(build_complex(facets))
+    return orient(facets)
 
 
 OCTAHEDRON = [(1, 2, 3), (1, 3, 5), (1, 5, 4), (1, 4, 2),

@@ -319,18 +319,11 @@ def test_selfcheck(capsys):
         "equivariance"}
 
 
-def test_env_fixture_override(tmp_path, monkeypatch, capsys):
-    src = fixture_path("boundary_d5.facets").read_text()
-    (tmp_path / "boundary_d5.facets").write_text(src)
-    monkeypatch.setenv("P1_FIXTURES", str(tmp_path))
-    from plp1 import fixtures
-    assert fixtures.boundary_d5().dim == 4
-
-
 def test_malformed_input_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.facets"
     for content in (b"dim=x\n1 2 3 4 5\n", b"1 2 3 4 five\n", b"\xba\xff\n",
-                    b"orient=explicit-rows\n1 2 3 4 5\n"):
+                    b"orient=explicit-rows\n1 2 3 4 5\n",
+                    b"1 2 3\n1 2 4\norient=explicit\n1 3 4\n2 3 4\n"):
         path.write_bytes(content)
         code, _, err = run_cli(capsys, "p1", str(path), "--json")
         assert code == 1
@@ -339,13 +332,32 @@ def test_malformed_input_exits_one(capsys, tmp_path):
 
 def test_open_oriented_input_exits_one(capsys, tmp_path):
     """Explicitly oriented input gets the closedness check of unoriented
-    input: a disk is rejected at its boundary ridge, not in reduction."""
-    path = tmp_path / "disk.facets"
-    for header in ("", "orient=explicit\n"):
-        path.write_text(header + "1 2 3\n1 3 4\n")
-        code, _, err = run_cli(capsys, "reduce", str(path), "--json")
-        assert code == 1
-        assert json.loads(err)["error"] == "RidgeDegreeViolation"
+    input, not a failure in reduction: a disk is rejected at its first open
+    ridge, and two disjoint tetrahedron boundaries as not connected."""
+    path = tmp_path / "open.facets"
+    for rows, error, detail in (
+            ("1 2 3\n1 3 4\n", "RidgeDegreeViolation",
+             "ridge (1, 2) lies in 1 facets"),
+            ("2 3 4\n1 4 3\n1 2 4\n1 3 2\n6 7 8\n5 8 7\n5 6 8\n5 7 6\n",
+             "ComplexError", "complex is not connected")):
+        for header in ("", "orient=explicit\n"):
+            path.write_text(header + rows)
+            code, _, err = run_cli(capsys, "reduce", str(path), "--json")
+            assert code == 1
+            assert json.loads(err) == {"error": error, "detail": detail}
+
+
+def test_unoriented_cp2_9_is_oriented_as_shipped(capsys, tmp_path):
+    """cp2_9's rows without their header are oriented by the reader, with
+    +1 on the least facet, which is the shipped orientation."""
+    from plp1.complexes import load_facet_file
+    from plp1.fixtures import cp2_9
+    path = tmp_path / "cp2_9.facets"
+    path.write_text("".join(line for line in fixture_path("cp2_9.facets")
+                            .read_text().splitlines(keepends=True)
+                            if not line.startswith("orient=")))
+    assert load_facet_file(path) == cp2_9()
+    assert run_cli(capsys, "p1", str(path)) == (0, "p1 = 3\n", "")
 
 
 def test_missing_input_exits_one(capsys, tmp_path):

@@ -97,7 +97,7 @@ def test_suspended_non_sphere_link_rejected():
     sxs = product_sphere_circle(3)
     bad = cx.suspension(sxs)
     assert bad.dim == 4
-    cx.require_closed(bad)
+    cx.require_closed(bad.facets)
     K = pt.Manifold4Input(bad)
     cfg = ReductionConfig(seed=0, max_steps=150, restarts=2)
     with pytest.raises(pt.LinkNotCertified):
