@@ -5,18 +5,12 @@ import argparse
 import json
 import sys
 
-from .complexes import ComplexError, OrientedComplex, load_facet_file, require_closed
+from .complexes import ComplexError, load_facet_file
 from .gamma2 import chain_from_json
 from .pontryagin import Manifold4Input, pontryagin_number, verify_4manifold
 from .reduction import ReductionConfig, reduce_sphere
 from .selfcheck import run_all
 from .solver import SolverBudget, evaluate_c0
-
-
-def _load_oriented(path) -> OrientedComplex:
-    L = load_facet_file(path)
-    require_closed(L.facets)
-    return L
 
 
 def _reduction_config(args) -> ReductionConfig:
@@ -40,7 +34,7 @@ def _fail(args, exc: Exception) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        K = Manifold4Input(_load_oriented(args.input))
+        K = Manifold4Input(load_facet_file(args.input))
         report = verify_4manifold(K, _reduction_config(args))
     except (ComplexError, OSError) as exc:
         return _fail(args, exc)
@@ -52,7 +46,7 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce(args) -> int:
     try:
-        L = _load_oriented(args.input)
+        L = load_facet_file(args.input)
         seq = reduce_sphere(L, _reduction_config(args))
     except (ComplexError, OSError) as exc:
         return _fail(args, exc)
@@ -63,7 +57,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_p1(args) -> int:
     try:
-        L = _load_oriented(args.input)
+        L = load_facet_file(args.input)
         if args.reverse_orientation:
             L = L.reverse()
         K = Manifold4Input(L)

@@ -10,7 +10,8 @@ operation and induced orientations reduce to parity bookkeeping.
 ``OrientedComplex`` is the one complex type: it is its sign map, and its
 facets are the keys of the map.  Unoriented facet rows are only input to
 ``orient``, which checks them as the constructor does (non-empty, pure)
-and rejects repeated facets and a complex that is not closed.
+and rejects repeated facets.  ``extend_orientation`` alone decides closed,
+connected and oriented; ``oriented_links`` alone holds the link rule.
 """
 from __future__ import annotations
 
@@ -68,13 +69,6 @@ def sort_parity(seq) -> int:
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
-
-
-def subsimplex_parity(facet: Simplex, sub: Simplex) -> int:
-    """Sign of reordering sorted ``facet`` as (sub ascending, rest ascending)."""
-    idx = [facet.index(v) for v in sub]
-    shift = sum(idx) - len(idx) * (len(idx) - 1) // 2
-    return -1 if shift % 2 else 1
 
 
 def _pure_dim(facets) -> int:
@@ -159,7 +153,7 @@ class OrientedComplex:
 def _ridge_map(facets):
     """Ridge -> [(facet, index of the vertex the facet adds)]; the ridges of
     each facet come from the one without its last vertex on, the order in
-    which ``require_closed`` names an open ridge."""
+    which ``extend_orientation`` names an open ridge."""
     out: dict = {}
     for f in facets:
         for i in reversed(range(len(f))):
@@ -171,9 +165,12 @@ def _ridge_map(facets):
 def extend_orientation(facets, seed_signs: Mapping[Simplex, int]) -> dict:
     """Propagate facet signs across ridges from the seeds; exact parity rule:
     adjacent facets F, G with F\\R at index i, G\\R at index j satisfy
-    sign(G) = -sign(F) * (-1)**(i+j)."""
-    facets = set(facets)
+    sign(G) = -sign(F) * (-1)**(i+j).  Raises at the first ridge, in facet
+    order, not in two facets, and unless the seeds reach every facet."""
     ridge_map = _ridge_map(facets)
+    for r, cofaces in ridge_map.items():
+        if len(cofaces) != 2:
+            raise RidgeDegreeViolation(f"ridge {r} lies in {len(cofaces)} facets")
     signs = dict(seed_signs)
     queue = deque(signs)
     while queue:
@@ -192,37 +189,28 @@ def extend_orientation(facets, seed_signs: Mapping[Simplex, int]) -> dict:
                 elif old != want:
                     raise NonOrientable(f"parity conflict at ridge {r}")
     if len(signs) != len(facets):
-        raise ComplexError("orientation did not reach all facets")
+        raise ComplexError("complex is not connected")
     return signs
 
 
-def require_closed(facets) -> None:
-    """Raise unless every ridge lies in exactly two facets (naming the first
-    open ridge in facet order) and the facets are connected across ridges."""
-    ridge_map = _ridge_map(facets)
-    for r, cofaces in ridge_map.items():
-        if len(cofaces) != 2:
-            raise RidgeDegreeViolation(f"ridge {r} lies in {len(cofaces)} facets")
-    start = next(iter(facets))
-    seen = {start}
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        for i in range(len(f)):
-            for g, _ in ridge_map[f[:i] + f[i + 1:]]:
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-    if len(seen) != len(facets):
-        raise ComplexError("complex is not connected")
+def require_closed(L: OrientedComplex) -> None:
+    """Raise unless L is closed and connected and its signs are the
+    orientation that ``extend_orientation`` propagates from one facet."""
+    f = next(iter(L.signs))
+    signs = extend_orientation(L.facets, {f: L.signs[f]})
+    if signs != L.signs:
+        g = next(g for g, s in L.signs.items() if signs[g] != s)
+        raise NonOrientable(f"sign of facet {g} disagrees with that of {f}")
+
+
+def _orient(facets) -> OrientedComplex:
+    return OrientedComplex(extend_orientation(facets, {min(facets): 1}))
 
 
 def orient(rows: Iterable[Iterable[int]]) -> OrientedComplex:
     """The closed complex of the facet rows, oriented by ridge-adjacency
     traversal seeded with +1 on the lexicographically least facet."""
-    facets = frozenset(_facet_rows(rows))
-    require_closed(facets)
-    return OrientedComplex(extend_orientation(facets, {min(facets): 1}))
+    return _orient(_facet_rows(rows))
 
 
 def oriented_link(L: OrientedComplex, v: int) -> OrientedComplex:
@@ -247,18 +235,13 @@ def oriented_links(L: OrientedComplex, vertices: Iterable[int]) -> dict:
 
 
 def oriented_link_simplex(L: OrientedComplex, s: Simplex) -> OrientedComplex:
-    """Link of a simplex with the induced orientation: a positively oriented
+    """Link of a simplex with the induced orientation, taken as the link of
+    each of its vertices in turn, in increasing order: a positively oriented
     facet written (s, w0, ..., w_k) induces the positively oriented facet
     (w0, ..., w_k) in the link of s."""
-    s = tuple(sorted(s))
-    facets = {}
-    for f, sign in L.signs.items():
-        if set(s) <= set(f):
-            rest = tuple(v for v in f if v not in s)
-            facets[rest] = sign * subsimplex_parity(f, s)
-    if not facets or () in facets:
-        raise SimplexNotInComplex(f"{s} has no proper link")
-    return OrientedComplex(facets)
+    for v in sorted(s):
+        L = oriented_link(L, v)
+    return L
 
 
 def boundary_simplex(n: int) -> OrientedComplex:
@@ -272,14 +255,12 @@ def boundary_simplex(n: int) -> OrientedComplex:
 
 
 def suspension(L: OrientedComplex) -> OrientedComplex:
-    """Join with a fresh 0-sphere {a, b}, oriented by propagation; a and b
-    exceed every vertex of L, so each facet is a facet of L plus a or b."""
+    """Join with a fresh 0-sphere {a, b}, oriented so the link of a is L; a
+    and b exceed every vertex of L, so each facet is one of L plus a or b."""
     m = max(L.vertices)
     a, b = m + 1, m + 2
-    facets = [f + (c,) for f in L.facets for c in (a, b)]
-    seed_facet = min(L.facets) + (a,)
-    seed_sign = L.signs[min(L.facets)] * subsimplex_parity(seed_facet, (a,))
-    return OrientedComplex(extend_orientation(facets, {seed_facet: seed_sign}))
+    S = orient(f + (c,) for f in L.facets for c in (a, b))
+    return S if oriented_link(S, a) == L else S.reverse()
 
 
 def parse_facet_text(text: str) -> OrientedComplex:
@@ -315,11 +296,12 @@ def parse_facet_text(text: str) -> OrientedComplex:
     if want_dim is not None and dim != want_dim:
         raise ComplexError(f"declared dim={want_dim} but facets have dim {dim}")
     if not explicit:
-        return orient(facets)
+        return _orient(facets)
     signs = dict(zip(facets, map(sort_parity, rows)))
-    # explicit signs must already be a consistent orientation
-    extend_orientation(signs, signs)
-    return OrientedComplex(signs)
+    # propagating every row's sign names the ridge of an inconsistent file
+    L = OrientedComplex(extend_orientation(facets, signs))
+    require_closed(L)
+    return L
 
 
 def load_facet_file(path) -> OrientedComplex:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
-                        Simplex, extend_orientation, oriented_link,
-                        oriented_links, subsimplex_parity)
+                        Simplex, orient, oriented_link, oriented_links)
 
 
 class MoveNotAdmissible(ComplexError):
@@ -213,16 +212,9 @@ def build_L_beta(L1: OrientedComplex, m: Move) -> OrientedComplex:
     L2 = apply_move(L1, m)
     top = max(max(L1.vertices), max(L2.vertices))
     u1, u2 = top + 1, top + 2
-    facets = {tuple(sorted(f + (u1,))) for f in L1.facets}
-    facets |= {tuple(sorted(f + (u2,))) for f in L2.facets}
-    facets.add(tuple(sorted(m.delta1 + m.delta2)))
-    g0 = min(L2.facets)
-    seed = tuple(sorted(g0 + (u2,)))
-    seed_sign = L2.signs[g0] * subsimplex_parity(seed, (u2,))
-    out = OrientedComplex(extend_orientation(facets, {seed: seed_sign}))
-    if oriented_link(out, u2) != L2:
-        raise ComplexError("cone orientation failed to match L2")
-    return out
+    out = orient([f + (u1,) for f in L1.facets]
+                 + [f + (u2,) for f in L2.facets] + [m.delta1 + m.delta2])
+    return out if oriented_link(out, u2) == L2 else out.reverse()
 
 
 class MoveSequence:

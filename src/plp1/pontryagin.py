@@ -168,7 +168,7 @@ def verify_4manifold(K: Manifold4Input,
     links = oriented_links(oc, oc.vertices)
     for v, lk in links.items():
         try:
-            require_closed(lk.facets)
+            require_closed(lk)
         except ComplexError as exc:
             raise LinkNotCertified(v, str(exc))
 

@@ -209,9 +209,7 @@ def _candidates_at(L: OrientedComplex) -> list:
     for g in enumerate_at(L):
         val = g.value
         out.append(Candidate(g.spec, False, g.chain, val))
-        m = mirror_chain(g.chain)
-        if m:
-            out.append(Candidate(g.spec, True, m, -val))
+        out.append(Candidate(g.spec, True, mirror_chain(g.chain), -val))
     return out
 
 
@@ -307,14 +305,15 @@ def _decompose(gamma: Chain1, cands: list, radius: int, prime: int):
 
     Columns are inserted in order until gamma lies in their span.  Its
     residual is reduced by each new row alone, which equals reducing it by
-    all rows so far, since a row is zero at every earlier row's pivot.  A
-    later column could only add a row with coefficient zero, because
-    gamma's representation over independent rows is unique; so the
-    certificate is the one all columns would give."""
+    all rows so far, since a row is zero at every earlier row's pivot, and
+    its steps are what ``combination`` substitutes back.  A later column
+    could only add a row with coefficient zero, because gamma's
+    representation over independent rows is unique; so the certificate is
+    the one all columns would give."""
     coord: dict = {}  # EdgeKey -> integer coordinate, gamma's keys first
-    target = _on_coordinates(gamma, coord)
     elim = Eliminator(prime)
-    residual = elim._residues(target)
+    residual = elim._residues(_on_coordinates(gamma, coord))
+    steps = []  # (row index, multiple subtracted from the residual)
     for idx, cand in enumerate(cands):
         if not residual:
             break
@@ -323,10 +322,10 @@ def _decompose(gamma: Chain1, cands: list, radius: int, prime: int):
             c = residual.get(pivot)
             if c:
                 _subtract(residual, row, c, prime)
-    combo = elim.express(target)
-    if combo is None:
+                steps.append((len(elim.rows) - 1, c))
+    if residual:
         return None
-    terms = [(cands[i], q) for i, q in sorted(combo.items())]
+    terms = [(cands[i], q) for i, q in sorted(elim.combination(steps).items())]
     value = sum((c.value * q for c, q in terms), Fraction(0))
     cert = DecompositionCertificate(terms, value, radius, len(cands))
     if cert.residual(gamma):

@@ -333,7 +333,9 @@ def test_malformed_input_exits_one(capsys, tmp_path):
 def test_open_oriented_input_exits_one(capsys, tmp_path):
     """Explicitly oriented input gets the closedness check of unoriented
     input, not a failure in reduction: a disk is rejected at its first open
-    ridge, and two disjoint tetrahedron boundaries as not connected."""
+    ridge, and two disjoint tetrahedron boundaries as not connected.  The
+    library loader raises the same error as the command line."""
+    from plp1.complexes import ComplexError, load_facet_file
     path = tmp_path / "open.facets"
     for rows, error, detail in (
             ("1 2 3\n1 3 4\n", "RidgeDegreeViolation",
@@ -345,6 +347,9 @@ def test_open_oriented_input_exits_one(capsys, tmp_path):
             code, _, err = run_cli(capsys, "reduce", str(path), "--json")
             assert code == 1
             assert json.loads(err) == {"error": error, "detail": detail}
+            with pytest.raises(ComplexError) as info:
+                load_facet_file(path)
+            assert (type(info.value).__name__, str(info.value)) == (error, detail)
 
 
 def test_unoriented_cp2_9_is_oriented_as_shipped(capsys, tmp_path):

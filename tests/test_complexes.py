@@ -3,7 +3,7 @@ import pickle
 import pytest
 
 from plp1 import complexes as cx
-from plp1.fixtures import link_L
+from plp1.fixtures import cp2_9, link_L
 
 from conftest import BIPYRAMID, OCTAHEDRON, RP2_6, oriented
 
@@ -36,7 +36,7 @@ def test_link_table_is_closed_3_pseudomanifold():
     assert L.dim == 3
     assert len(L.vertices) == 8
     assert len(L.facets) == 20
-    cx.require_closed(L.facets)
+    cx.require_closed(L)
 
 
 def test_orientations_of_boundary_simplex():
@@ -54,7 +54,6 @@ def test_boundary_d5_orientable():
 
 
 def test_projective_plane_is_not_orientable():
-    cx.require_closed(RP2_6)
     with pytest.raises(cx.NonOrientable):
         cx.orient(RP2_6)
 
@@ -75,15 +74,38 @@ def test_link_of_reversed_ambient_is_mirrored():
 def test_suspension_is_closed():
     susp = cx.suspension(oriented(OCTAHEDRON))
     assert susp.dim == 3
-    cx.require_closed(susp.facets)
+    cx.require_closed(susp)
 
 
 def test_oriented_links_are_closed_pseudomanifolds():
     for L in (cx.boundary_simplex(4), oriented(OCTAHEDRON), link_L()):
         for v in L.vertices:
             lk = cx.oriented_link(L, v)
-            cx.require_closed(lk.facets)
+            cx.require_closed(lk)
             assert lk.dim == L.dim - 1
+
+
+def _link_by_subsimplex_parity(L, s):
+    """Reference link of the sorted simplex s: a facet's sign times the
+    parity of reordering it as (s ascending, rest ascending)."""
+    out = {}
+    for f, sign in L.signs.items():
+        if set(s) <= set(f):
+            shift = sum(f.index(v) for v in s) - len(s) * (len(s) - 1) // 2
+            out[tuple(v for v in f if v not in s)] = -sign if shift % 2 else sign
+    return cx.OrientedComplex(out)
+
+
+def test_simplex_links_match_sorted_subsimplex_parity():
+    L = link_L()
+    susp = cx.suspension(L)
+    # the first suspension vertex links to L as given
+    assert cx.oriented_link(susp, max(L.vertices) + 1) == L
+    for K in (cp2_9(), susp):
+        for d in (1, 2):
+            for s in sorted(K.faces(d)):
+                assert (cx.oriented_link_simplex(K, s)
+                        == _link_by_subsimplex_parity(K, s)), s
 
 
 def test_two_sphere_euler_characteristic():

@@ -12,7 +12,7 @@ from plp1 import moves as mv
 from plp1 import reduction as red
 from plp1.fixtures import cp2_9, link_L, sequence_9
 
-from conftest import BIPYRAMID, OCTAHEDRON, oriented
+from conftest import BIPYRAMID, OCTAHEDRON, STACKED6, oriented
 from isomorphism import iso_generic
 
 
@@ -283,6 +283,44 @@ def test_canonical_is_read_through_sphere_data():
         bare = [node for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and node.id in aliases]
         assert len(bare) == len(reads), path.name
+
+
+def test_orientation_is_derived_in_complexes():
+    """Outside ``complexes``, no module imports ``extend_orientation`` or a
+    private name of ``complexes``, so orientations are only propagated
+    there."""
+    def allowed(name):
+        return name != "extend_orientation" and not name.startswith("_")
+    for path in sorted(Path(cx.__file__).parent.glob("*.py")):
+        if path.stem == "complexes":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("plp1.")
+                if module == "complexes":
+                    assert all(allowed(a.name) for a in node.names), path.name
+                elif module in ("", "plp1"):
+                    aliases |= {a.asname or a.name for a in node.names
+                                if a.name == "complexes"}
+            elif isinstance(node, ast.Import):
+                assert "plp1.complexes" not in {a.name for a in node.names}
+        reads = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in aliases]
+        assert all(allowed(node.attr) for node in reads), path.name
+        bare = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in aliases]
+        assert len(bare) == len(reads), path.name
+
+
+def test_glued_sphere_links_its_second_cone_vertex_to_the_moved_sphere():
+    for L1 in (oriented(OCTAHEDRON), oriented(STACKED6)):
+        for m in mv.admissible_moves(L1):
+            L_beta = mv.build_L_beta(L1, m)
+            u2 = max(L_beta.vertices)
+            assert cx.oriented_link(L_beta, u2) == mv.apply_move(L1, m), m
 
 
 def _random_walk_signs_agree(L, steps, rng):

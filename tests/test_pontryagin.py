@@ -20,6 +20,17 @@ def test_input_dimension_checked(octahedron):
         pt.Manifold4Input(octahedron)
 
 
+def test_flipped_facet_sign_names_its_vertex():
+    """A sign map that is no orientation is refused at the least vertex of
+    the flipped facet, before any reduction runs."""
+    K = fx.cp2_9()
+    f = next(iter(K.signs))
+    bad = cx.OrientedComplex({**K.signs, f: -K.signs[f]})
+    with pytest.raises(pt.LinkNotCertified, match=r"^link of vertex 1: ") as info:
+        pt.verify_4manifold(pt.Manifold4Input(bad))
+    assert info.value.vertex == min(f) == 1
+
+
 def test_boundary_d5_verifies_trivially():
     K = pt.Manifold4Input(fx.boundary_d5())
     report = pt.verify_4manifold(K)
@@ -97,7 +108,7 @@ def test_suspended_non_sphere_link_rejected():
     sxs = product_sphere_circle(3)
     bad = cx.suspension(sxs)
     assert bad.dim == 4
-    cx.require_closed(bad.facets)
+    cx.require_closed(bad)
     K = pt.Manifold4Input(bad)
     cfg = ReductionConfig(seed=0, max_steps=150, restarts=2)
     with pytest.raises(pt.LinkNotCertified):

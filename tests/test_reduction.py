@@ -41,7 +41,7 @@ def test_determinism():
     b = red.reduce_sphere(link_L(), cfg)
     assert a.to_json() == b.to_json()
     c = red.reduce_sphere(link_L(), red.ReductionConfig(seed=4))
-    cx.require_closed(red.verify_sequence(c.initial, c).facets)
+    cx.require_closed(red.verify_sequence(c.initial, c))
 
 
 def test_verify_sequence_replays_fixture():
@@ -66,7 +66,7 @@ def test_verify_sequence_rejects_foreign_initial():
 
 def test_non_sphere_exhausts_budget():
     sxs = product_sphere_circle(3)
-    cx.require_closed(sxs.facets)
+    cx.require_closed(sxs)
     assert sxs.euler_characteristic() == 0
     cfg = red.ReductionConfig(seed=0, max_steps=150, restarts=2)
     with pytest.raises(red.BudgetExhausted):
