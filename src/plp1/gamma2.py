@@ -193,8 +193,8 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
     sphere is handed out, since ``evaluate_c0`` rebuilds any code it is not
     given a complex for.  Raises ChainFormatError, naming the entry, on
     anything but a list of {"edge": {...}, "coeff": "p/q"} entries whose
-    orbits are canonical orbits of faces of their spheres, with no label
-    repeated.
+    orbits are canonical orbits of faces of their spheres, with int labels
+    (not bool) and no label repeated.
     """
     spheres: dict = {}
 
@@ -205,6 +205,8 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
             L = spheres[code] = canonical.complex_from_code(code)
         data = canonical.sphere_data(L)
         orbit = tuple(orbit)
+        if any(type(c) is not int for c in orbit):  # 1.0 and True pass as 1
+            raise ValueError(f"{list(orbit)} has a label that is not an int")
         # the simplex the orbit names under the sphere's labeling
         inv = {c: v for v, c in data.label.items()}
         s = tuple(sorted(inv[c] for c in orbit))

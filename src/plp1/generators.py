@@ -11,8 +11,8 @@ replay in ``gamma2.loop_to_chain`` applies and checks them, each step
 once per call of ``enumerate_at``.  A loop's chain is label-free, so
 ``enumerate_at`` builds one anchor per orbit of Aut±, the sphere's
 orientation-preserving and orientation-reversing automorphisms together
-(``SphereData.automorphisms``): an anchor moved by a reversing one gives
-the mirror of a chain already kept.  Anchors are classified on the
+(``SphereData.automorphisms``), and returns each chain with its mirror,
+the two columns the solver prices.  Anchors are classified on the
 sphere's rotation system (``SphereData.rot``).
 
 Chirality conventions (which arc of a vertex star is counted as p, which
@@ -29,9 +29,8 @@ from typing import Iterable, Optional
 
 from . import canonical
 from .complexes import ComplexError, OrientedComplex, Simplex
-from .gamma2 import Chain1, loop_to_chain
-from .moves import (Move, MoveNotAdmissible, MoveSequence, admissible_moves,
-                    make_move)
+from .gamma2 import Chain1, loop_to_chain, mirror_chain
+from .moves import Move, MoveNotAdmissible, admissible_moves, make_move
 
 
 class AnchorConfigurationInvalid(ComplexError):
@@ -65,14 +64,15 @@ CHIRALITY = {
 
 @dataclass
 class GeneratorChain:
+    """A solver column: a loop's chain and value, or both mirrored."""
     spec: GeneratorSpec
-    bit: int
+    mirrored: bool
     chain: Chain1
-    loop: MoveSequence
+    value: Fraction
 
-    @property
-    def value(self) -> Fraction:
-        return c0_of(self.spec) * self.bit * CHIRALITY[self.spec.kind]
+    def mirror(self) -> "GeneratorChain":
+        return GeneratorChain(self.spec, not self.mirrored,
+                              mirror_chain(self.chain), -self.value)
 
 
 def _f3(n: int) -> Fraction:
@@ -182,15 +182,15 @@ def _move(d1, d2) -> Move:
 
 def _finish(L: OrientedComplex, moves, spec: GeneratorSpec, bit: int,
             steps: Optional[dict]) -> GeneratorChain:
-    """The generator chain of a loop written down as its moves from L.
+    """The column of a loop written down as its moves from L.
 
     The replay in ``loop_to_chain`` (through the step table ``steps``) is
     the one place where the moves are applied: ``apply_move`` accepts a
     move only if it is the one ``make_move`` derives on the replayed state,
     so a wrong cofactor raises MoveNotAdmissible there, and a loop that
     does not close raises LoopNotClosed."""
-    return GeneratorChain(spec, bit, loop_to_chain(L, moves, steps),
-                          MoveSequence(L, moves))
+    return GeneratorChain(spec, False, loop_to_chain(L, moves, steps),
+                          c0_of(spec) * bit * CHIRALITY[spec.kind])
 
 
 # ---------------------------------------------------------------- alpha 1
@@ -275,17 +275,18 @@ def build_alpha2(L: OrientedComplex, t, e, steps=None) -> GeneratorChain:
 
 # ---------------------------------------------------------------- alpha 3
 
-def admissible_pair(L: OrientedComplex, e1, e2) -> bool:
-    """No triangle contains both edges, both flips are legal, and the second
-    stays legal after the first.  The first flip then changes no triangle at
-    e2, so the second stays legal unless both flips create the same edge."""
+def admissible_pair(L: OrientedComplex, e1, e2):
+    """The flips (m1, m2) if no triangle contains both edges, both are legal
+    and the second stays legal after the first, else None.  The first then
+    changes no triangle at e2, so only a shared new edge makes it illegal."""
     e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
     if e1 == e2 or L.has_simplex(tuple(sorted(set(e1) | set(e2)))):
-        return False
+        return None
     try:
-        return make_move(L, e1).delta2 != make_move(L, e2).delta2
+        m1, m2 = make_move(L, e1), make_move(L, e2)
     except MoveNotAdmissible:
-        return False
+        return None
+    return (m1, m2) if m1.delta2 != m2.delta2 else None
 
 
 def classify_alpha3(L: OrientedComplex, e1: Simplex, e2: Simplex):
@@ -319,12 +320,13 @@ def build_alpha3(L: OrientedComplex, e1, e2, steps=None) -> GeneratorChain:
     """Flip e1, flip e2, flip the first new edge back, flip the second back:
     the commutator of the two flips, both built on L."""
     e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
-    if not admissible_pair(L, e1, e2):
+    pair = admissible_pair(L, e1, e2)
+    if pair is None:
         raise AnchorConfigurationInvalid(f"({e1}, {e2}) is not an admissible pair")
     classified = classify_alpha3(L, e1, e2)
     if classified is None:
         raise AnchorConfigurationInvalid("configuration is not a priced pattern")
-    m1, m2 = make_move(L, e1), make_move(L, e2)
+    m1, m2 = pair
     return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified,
                    steps)
 
@@ -477,7 +479,8 @@ def _image(sigma: dict, anchor: tuple) -> tuple:
 
 
 def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
-    """All priced generator chains anchored at L, deduplicated by chain.
+    """The solver's columns at L: each priced loop with a nonzero chain, then
+    its mirror; repeats up to sign are kept for ``evaluate_c0`` to drop.
 
     ``kinds`` names the families to build (``FAMILIES`` by default); an
     unknown name raises ValueError.  Unclassifiable configurations are
@@ -492,9 +495,9 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     pairs of α1 and α3 give the negated chain when swapped, so an
     orientation-preserving automorphism that swaps a pair makes its chain
     zero, and such a pair is not built at all; a reversing one relates the
-    chain to its negated mirror and proves nothing.  The chains and their
-    mirrors, the columns ``solver._candidates_at`` makes, are those every
-    anchor built in turn would give, first seen at the same anchors.
+    chain to its negated mirror and proves nothing.  With repeats dropped,
+    the columns are those every anchor built in turn would give, first
+    seen at the same anchors.
 
     All loops of one call replay through one step table (see
     ``loop_to_chain``), so each (state, move) step is applied and priced
@@ -507,7 +510,6 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
         raise ValueError(f"unknown generator families {unknown}")
     plus, minus = canonical.sphere_data(L).automorphisms()
     out = []
-    seen = set()
     tried = set()
     steps: dict = {}
     for builder, anchor, unordered in _anchors(L, want):
@@ -526,11 +528,8 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
             g = builder(L, *anchor, steps=steps)
         except (AnchorConfigurationInvalid, MoveNotAdmissible):
             continue
-        rep, _ = g.chain.normalized()
-        key = rep.frozen()
-        if key and key not in seen:
-            seen.add(key)
-            out.append(g)
+        if g.chain:
+            out += g, g.mirror()
     return out
 
 

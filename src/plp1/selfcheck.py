@@ -111,7 +111,8 @@ def _fixture_loops():
     stacked = orient([(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
                       (2, 6, 3), (3, 6, 4), (4, 6, 5)])
     loops = [build_alpha4(d3, 1, 2, 3), build_alpha6(stacked, 1, 2, 3, 4, 5)]
-    loops += enumerate_at(stacked, {"S2", "S5"})[:6]
+    loops += enumerate_at(stacked, {"S2"})[:10:2]  # skip the mirrors
+    loops += enumerate_at(stacked, {"S5"})[:1]
     return loops
 
 

@@ -21,9 +21,9 @@ from math import gcd, isqrt
 from typing import Iterable, Optional
 
 from . import canonical
-from .complexes import ComplexError, OrientedComplex
-from .gamma2 import Chain1, is_cycle, mirror_chain
-from .generators import GeneratorSpec, enumerate_at
+from .complexes import ComplexError
+from .gamma2 import Chain1, is_cycle
+from .generators import enumerate_at
 from .moves import admissible_moves, apply_move
 
 
@@ -128,7 +128,9 @@ class Eliminator:
 
     def express(self, vec: dict) -> Optional[dict]:
         """{i: a_i} with vec = sum a_i * col_i, lifted to rationals by
-        ``rational``, or None if vec is out of span modulo the prime."""
+        ``rational``, or None if vec is out of span modulo the prime.  The
+        pipeline does not call it; it stays as the plain elimination that
+        ``_decompose`` is tested against, and as a traced name."""
         v, steps = self._reduce(self._residues(vec))
         return None if v else self.combination(steps)
 
@@ -165,16 +167,8 @@ def _over_primes(solve):
 
 
 @dataclass
-class Candidate:
-    spec: GeneratorSpec
-    mirrored: bool
-    chain: Chain1
-    value: Fraction
-
-
-@dataclass
 class DecompositionCertificate:
-    terms: list            # (Candidate, Fraction coefficient)
+    terms: list            # (GeneratorChain, Fraction coefficient)
     value: Fraction
     radius_used: int
     columns_seen: int
@@ -191,8 +185,7 @@ class DecompositionCertificate:
             "radius_used": self.radius_used,
             "columns_seen": self.columns_seen,
             "terms": [
-                {"kind": c.spec.kind, "params": list(c.spec.params),
-                 "mirrored": c.mirrored,
+                {**c.spec.to_json(), "mirrored": c.mirrored,
                  "coeff": f"{q.numerator}/{q.denominator}"}
                 for c, q in self.terms],
         }
@@ -202,15 +195,6 @@ class DecompositionCertificate:
 class SolverBudget:
     radius_max: int = 2
     seed: int = 0
-
-
-def _candidates_at(L: OrientedComplex) -> list:
-    out = []
-    for g in enumerate_at(L):
-        val = g.value
-        out.append(Candidate(g.spec, False, g.chain, val))
-        out.append(Candidate(g.spec, True, mirror_chain(g.chain), -val))
-    return out
 
 
 def _support_complexes(chain: Chain1, registry: dict) -> dict:
@@ -257,16 +241,15 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
     for radius in range(budget.radius_max + 1):
         batch = []
         for L in frontier:
-            # _candidates_at(L) already holds the mirror of every chain at
+            # enumerate_at(L) already holds the mirror of every column at
             # the mirror sphere, so an anchor whose mirror was enumerated
-            # would add only duplicates.
+            # would add only repeats.
             data = canonical.sphere_data(L)
             if data.mirror_code in enumerated:
                 continue
             enumerated.add(data.code)
-            for cand in _candidates_at(L):
-                rep, _ = cand.chain.normalized()
-                key = rep.frozen()
+            for cand in enumerate_at(L):
+                key = cand.chain.normalized()[0].frozen()
                 if key in seen_chains:
                     continue
                 seen_chains.add(key)

@@ -38,6 +38,24 @@ def stacked6():
     return oriented(STACKED6)
 
 
+@pytest.fixture
+def loop_moves(monkeypatch):
+    """(start sphere, moves) of every loop that ``generators`` replays
+    while the test runs, in build order: what ``_finish`` hands to
+    ``loop_to_chain``, recorded once the replay has closed."""
+    from plp1 import generators
+    loops, replay = [], generators.loop_to_chain
+
+    def record(L, moves, steps=None):
+        moves = list(moves)
+        chain = replay(L, moves, steps)
+        loops.append((L, moves))
+        return chain
+
+    monkeypatch.setattr(generators, "loop_to_chain", record)
+    return loops
+
+
 def product_sphere_circle(m: int = 3) -> OrientedComplex:
     """Staircase triangulation of (2-sphere) x (circle on m vertices):
     a closed orientable 3-manifold that is not a sphere."""

@@ -380,25 +380,36 @@ def test_malformed_chain_exits_one(capsys, tmp_path):
     from conftest import STACKED6, oriented
     good = gen.build_alpha6(oriented(STACKED6), 1, 2, 3, 4, 5).chain.to_json()
     edge = good[0]["edge"]
-    # an orbit out of canonical (sorted) order, a pair that is no edge, and
-    # a repeated label, which would name a vertex as if it were an edge
+    # an orbit out of canonical (sorted) order, a pair that is no edge, a
+    # repeated label, which would name a vertex as if it were an edge, and
+    # the orbit's labels as floats or with 1 as true, equal to them in Python
     L = canon.complex_from_code(bytes.fromhex(edge["from"]))
     non_edge = next(list(p) for p in itertools.combinations(sorted(L.vertices), 2)
                     if not L.has_simplex(p))
-    bad_orbits = [dict(good[0], edge=dict(edge, from_orbit=orbit))
-                  for orbit in (edge["from_orbit"][::-1], non_edge, [0, 0])]
+    floats = [float(c) for c in edge["from_orbit"]]
+    with_bool = [True if c == 1 else c for c in edge["from_orbit"]]
+    def bad_orbit(orbit):
+        return [dict(good[0], edge=dict(edge, from_orbit=orbit))]
     assert edge["from_orbit"][::-1] != edge["from_orbit"]
+    assert floats == with_bool == edge["from_orbit"] and True in with_bool
+    not_int = "has a label that is not an int"
     path = tmp_path / "chain.json"
-    for entries in ([1], {"a": 1},
-                    [dict(good[0], coeff="1/0")], [dict(good[0], coeff=1)],
-                    *([bad] for bad in bad_orbits)):
+    for entries, detail in (([1], ""), ({"a": 1}, None),
+                            ([dict(good[0], coeff="1/0")], ""),
+                            ([dict(good[0], coeff=1)], ""),
+                            (bad_orbit(edge["from_orbit"][::-1]), ""),
+                            (bad_orbit(non_edge), ""),
+                            (bad_orbit([0, 0]), ""),
+                            (bad_orbit(floats), not_int),
+                            (bad_orbit(with_bool), not_int)):
         path.write_text(json.dumps(entries))
         code, _, err = run_cli(capsys, "c0-cycle", str(path), "--json")
         assert code == 1
         report = json.loads(err)
         assert report["error"] == "ChainFormatError"
-        if isinstance(entries, list):
+        if detail is not None:
             assert report["detail"].startswith("entry 0:")
+            assert detail in report["detail"]
     # nesting too deep for the JSON reader is reported, not a traceback
     path.write_text("[" * 100_000)
     code, _, err = run_cli(capsys, "c0-cycle", str(path), "--json")

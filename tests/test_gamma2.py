@@ -140,9 +140,12 @@ def test_chain_json_round_trip(stacked6):
     assert again == chain
 
 
-def test_mirror_commutes_with_loop_to_chain(stacked6):
-    """Mirroring the sphere and replaying the same moves mirrors the chain."""
+def test_mirror_commutes_with_loop_to_chain(stacked6, loop_moves):
+    """Mirroring the sphere and replaying the same moves mirrors the chain,
+    and gives the chain of the mirror column."""
     import plp1.generators as gen
     g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
-    mirrored_loop = g2.loop_to_chain(stacked6.reverse(), g.loop.moves)
-    assert mirrored_loop == g2.mirror_chain(g.chain)
+    [(_, moves)] = loop_moves
+    mirrored_loop = g2.loop_to_chain(stacked6.reverse(), moves)
+    assert mirrored_loop == g2.mirror_chain(g.chain) == g.mirror().chain
+    assert g.mirror().mirror() == g

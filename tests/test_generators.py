@@ -33,12 +33,14 @@ def test_value_table():
     assert gen.c0_of(spec("S6", 2, 2, 2, 2, 2)) == Fraction(1, 6)
 
 
-def test_alpha1_is_closed_4_move_loop(octahedron):
+def test_alpha1_is_closed_4_move_loop(octahedron, loop_moves):
     g = gen.build_alpha1(octahedron, (1, 2, 3), (6, 5, 4))
-    assert len(g.loop.moves) == 4
+    [(L, moves)] = loop_moves
+    assert L is octahedron and len(moves) == 4
     assert g.spec.kind == "S1_0"
     assert g2.is_cycle(g.chain)
-    assert verify_sequence(octahedron, g.loop) == octahedron
+    loop = mv.MoveSequence(octahedron, moves)
+    assert verify_sequence(octahedron, loop) == octahedron
 
 
 def test_alpha1_classification_cases(octahedron):
@@ -64,19 +66,20 @@ def test_alpha1_shared_vertex_params_swap(stacked6):
     assert a.spec.params == tuple(reversed(b.spec.params))
 
 
-def test_alpha2_loop_and_error(octahedron):
+def test_alpha2_loop_and_error(octahedron, loop_moves):
     g = gen.build_alpha2(octahedron, (1, 2, 3), (4, 5))
-    assert len(g.loop.moves) == 4
+    assert [len(moves) for _, moves in loop_moves] == [4]
     assert g2.is_cycle(g.chain)
     with pytest.raises(gen.AnchorConfigurationInvalid):
         gen.build_alpha2(octahedron, (1, 2, 3), (1, 2))  # edge inside triangle
 
 
-def test_alpha3_admissible_pair(octahedron):
+def test_alpha3_admissible_pair(octahedron, loop_moves):
     assert gen.admissible_pair(octahedron, (1, 2), (3, 5))
     assert not gen.admissible_pair(octahedron, (1, 2), (1, 3))  # share a facet
     g = gen.build_alpha3(octahedron, (1, 2), (3, 5))
-    assert len(g.loop.moves) == 4 and g2.is_cycle(g.chain)
+    assert [len(moves) for _, moves in loop_moves] == [4]
+    assert g2.is_cycle(g.chain)
     with pytest.raises(gen.AnchorConfigurationInvalid):
         gen.build_alpha3(octahedron, (1, 2), (1, 3))
 
@@ -99,9 +102,9 @@ def test_alpha4_generic_has_three_terms(stacked6):
     assert g2.is_cycle(g.chain)
 
 
-def test_alpha5_pentagon(octahedron):
+def test_alpha5_pentagon(octahedron, loop_moves):
     g = gen.build_alpha5(octahedron, 1, 3, 2, 4)
-    assert len(g.loop.moves) == 5
+    assert [len(moves) for _, moves in loop_moves] == [5]
     assert g.spec.kind == "S5"
     assert g2.is_cycle(g.chain)
     with pytest.raises(gen.AnchorConfigurationInvalid):
@@ -119,11 +122,11 @@ def test_alpha5_rejects_a_lone_edge():
     assert gen.classify_alpha5(L, 2, 1, 4, 6)[0].kind == "S5"
 
 
-def test_alpha6_pentagon(stacked6):
+def test_alpha6_pentagon(stacked6, loop_moves):
     g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
     assert g.spec == spec("S6", 2, 2, 2, 2, 2)
     assert g.value == Fraction(1, 6)
-    assert len(g.loop.moves) == 5
+    assert [len(moves) for _, moves in loop_moves] == [5]
     assert g2.is_cycle(g.chain)
     with pytest.raises(gen.AnchorConfigurationInvalid):
         gen.build_alpha6(stacked6, 1, 2, 3, 4, 6)
@@ -151,7 +154,7 @@ def test_enumerate_rejects_unknown_families(octahedron, kinds):
 
 def test_mirror_equivariance_of_values(stacked6, bipyramid):
     for L in (stacked6, bipyramid):
-        for g in gen.enumerate_at(L)[:12]:
+        for g in gen.enumerate_at(L)[:24:2]:
             if not g.chain:
                 continue
             mirrored = g2.mirror_chain(g.chain)
@@ -195,19 +198,15 @@ def _every_anchor(L):
     return out
 
 
-def _columns(chains):
-    """The solver's candidate columns of generator chains, in the order
-    ``evaluate_c0`` first sees them: each chain with its value, then its
-    mirror with the negated value, repeats of a normalized chain dropped."""
+def _columns(columns):
+    """The columns as ``evaluate_c0`` keeps them: the first occurrence of
+    each normalized chain, in order."""
     out, seen = [], set()
-    for g in chains:
-        for mirrored, chain, value in (
-                (False, g.chain, g.value),
-                (True, g2.mirror_chain(g.chain), -g.value)):
-            key = chain.normalized()[0].frozen()
-            if key and key not in seen:
-                seen.add(key)
-                out.append((g.spec, mirrored, chain, value))
+    for c in columns:
+        key = c.chain.normalized()[0].frozen()
+        if key not in seen:
+            seen.add(key)
+            out.append(c)
     return out
 
 
@@ -270,7 +269,7 @@ def cp2_cycle_spheres(cp2_cycle):
             for code in sorted(codes)]
 
 
-def test_generator_families_are_pinned(cp2_cycle_spheres):
+def test_generator_families_are_pinned(cp2_cycle_spheres, loop_moves):
     """Each loop is a written-down list of moves that the replay checks; a
     wrong cofactor makes ``enumerate_at`` drop its loop silently, so the
     family counts are pinned, and every move must be the one ``make_move``
@@ -284,16 +283,19 @@ def test_generator_families_are_pinned(cp2_cycle_spheres):
             assert g2.is_cycle(g.chain)
             family = g.spec.kind[:2]
             per_family[family] = per_family.get(family, 0) + 1
-            for state, m, _ in g.loop.replay():
-                fresh = m.delta2[0] if len(m.delta1) == 3 else None
-                assert mv.make_move(state, m.delta1, new_vertex=fresh) == m
-    # one chain per Aut± orbit of anchors: on the three spheres that are
-    # their own mirror the mirrored chains go, and the solver adds them
-    # back as mirror columns, so the column counts do not move
-    assert per_sphere == [21, 61, 61, 34, 40]
+    assert loop_moves
+    for L, moves in loop_moves:
+        for state, m, _ in mv.MoveSequence(L, moves).replay():
+            fresh = m.delta2[0] if len(m.delta1) == 3 else None
+            assert mv.make_move(state, m.delta1, new_vertex=fresh) == m
+    # one loop per Aut± orbit of anchors, each followed by its mirror
+    # column; ``enumerate_at`` keeps the columns that repeat an earlier one
+    # up to sign (some S4, S5 and S6 loops repeat other chains), so these
+    # counts hold them, and ``evaluate_c0``'s dedup gives the column counts
+    assert per_sphere == [44, 134, 134, 70, 82]
     assert columns == [29, 108, 108, 59, 64]
-    assert per_family == {"S1": 70, "S2": 74, "S3": 8, "S4": 12, "S5": 46,
-                          "S6": 7}
+    assert per_family == {"S1": 140, "S2": 148, "S3": 16, "S4": 38,
+                          "S5": 96, "S6": 26}
 
 
 def test_mirror_sphere_enumerates_mirrored_chains(cp2_cycle_spheres):
@@ -306,32 +308,26 @@ def test_mirror_sphere_enumerates_mirrored_chains(cp2_cycle_spheres):
         there = _columns(gen.enumerate_at(L.reverse()))
         assert len(here) == len(there)
         mirrored = _normalized_entries(
-            (g2.mirror_chain(chain), -value) for _, _, chain, value in here)
+            (g2.mirror_chain(c.chain), -c.value) for c in here)
         assert mirrored == _normalized_entries(
-            (chain, value) for _, _, chain, value in there)
+            (c.chain, c.value) for c in there)
 
 
-def test_enumerate_replays_each_step_once(cp2_cycle_spheres, monkeypatch):
+def test_enumerate_replays_each_step_once(cp2_cycle_spheres, monkeypatch,
+                                          loop_moves):
     """One ``enumerate_at`` call applies each (state, move) step of its
     loops once: a reference replay of the loops it builds counts the
     distinct steps, and ``gamma2`` calls ``apply_move`` exactly that
     often, although the loops take more steps than that."""
-    loops, applied = [], []
-    loop_to_chain, apply_move = g2.loop_to_chain, g2.apply_move
-
-    def record_loop(L, moves, steps=None):
-        loops.append((L, list(moves)))
-        return loop_to_chain(L, moves, steps)
-
-    monkeypatch.setattr(gen, "loop_to_chain", record_loop)
+    applied, apply_move = [], g2.apply_move
     monkeypatch.setattr(g2, "apply_move",
                         lambda L, m: applied.append(m) or apply_move(L, m))
     for L in cp2_cycle_spheres:
-        loops.clear()
+        loop_moves.clear()
         applied.clear()
         gen.enumerate_at(L)
         after, taken = {}, 0
-        for state, moves in loops:
+        for state, moves in loop_moves:
             for m in moves:
                 if (state, m) not in after:
                     after[state, m] = mv.apply_move(state, m)
@@ -378,12 +374,12 @@ def _built(builder, L, anchor):
         g = builder(L, *anchor)
     except (gen.AnchorConfigurationInvalid, mv.MoveNotAdmissible):
         return None
-    return g.spec, g.bit, g.value, g.chain
+    return g.spec, g.value, g.chain
 
 
 def test_builders_are_invariant_under_automorphisms(anchor_spheres):
     """The premise of building one anchor per Aut± orbit.  An
-    orientation-preserving automorphism moves no spec, bit, value or chain,
+    orientation-preserving automorphism moves no spec, value or chain,
     and a swapped pair of the unordered families gives the negated chain,
     so a pair that one of them swaps has chain zero.  An
     orientation-reversing automorphism sigma is an orientation-preserving
@@ -408,10 +404,10 @@ def test_builders_are_invariant_under_automorphisms(anchor_spheres):
             if unordered:
                 swapped = _built(builder, L, anchor[::-1])
                 assert (swapped is None) == (here is None)
-                assert swapped is None or swapped[3] == -here[3]
+                assert swapped is None or swapped[2] == -here[2]
                 if any(_image(sigma, anchor) == anchor[::-1]
                        for sigma in plus):
-                    assert here is None or not here[3]
+                    assert here is None or not here[2]
     assert reversing > 1000
 
 
@@ -423,7 +419,40 @@ def test_enumerate_matches_building_every_anchor(anchor_spheres):
     or a swapped pair taken for zero under an orientation-reversing map,
     drops columns here."""
     for L in anchor_spheres:
-        assert _columns(gen.enumerate_at(L)) == _columns(_every_anchor(L))
+        every = [c for g in _every_anchor(L) for c in (g, g.mirror())]
+        assert _columns(gen.enumerate_at(L)) == _columns(every)
+
+
+def test_evaluate_c0_alone_drops_repeats(cp2_cycle, monkeypatch):
+    """The columns ``_decompose`` gets on the seed-0 cycle have distinct
+    normalized chains, and they are the first occurrences among what
+    ``enumerate_at`` returned at the spheres ``evaluate_c0`` enumerated,
+    in the order of its seeded shuffle of the one radius it needs."""
+    gamma, registry = cp2_cycle
+    returned, given = [], []
+    enumerate_at, decompose = sv.enumerate_at, sv._decompose
+
+    def record_columns(L):
+        columns = enumerate_at(L)
+        returned.extend(columns)
+        return columns
+
+    def record_cands(gamma, cands, radius, prime):
+        given.append(list(cands))
+        return decompose(gamma, cands, radius, prime)
+
+    monkeypatch.setattr(sv, "enumerate_at", record_columns)
+    monkeypatch.setattr(sv, "_decompose", record_cands)
+    _, cert = sv.evaluate_c0(gamma, registry)
+    assert cert.radius_used == 0 and len(given) == 1
+    cands = given[0]
+    keys = {c.chain.normalized()[0].frozen() for c in cands}
+    assert len(keys) == len(cands) == cert.columns_seen
+    kept = _columns(returned)
+    assert len(kept) < len(returned)  # there were repeats to drop
+    random.Random(0).shuffle(kept)
+    assert len(cands) == len(kept)
+    assert all(a is b for a, b in zip(cands, kept))
 
 
 # Reference rules that read anchor geometry by scanning the facets and their

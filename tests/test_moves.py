@@ -315,6 +315,38 @@ def test_orientation_is_derived_in_complexes():
         assert len(bare) == len(reads), path.name
 
 
+def test_columns_are_made_in_generators():
+    """``solver`` takes its columns from ``enumerate_at`` alone: it imports
+    nothing else from ``generators`` and does not name ``mirror_chain``,
+    and no module but ``generators`` calls ``GeneratorChain(``."""
+    src = Path(cx.__file__).parent
+    from_generators, named = set(), set()
+    for node in ast.walk(ast.parse((src / "solver.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if (node.module or "").removeprefix("plp1.") == "generators":
+                from_generators |= names
+            else:
+                named |= names
+        elif isinstance(node, ast.Import):
+            named |= {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert from_generators == {"enumerate_at"}
+    assert "mirror_chain" not in named
+    assert not any(n.split(".")[-1] == "generators" for n in named)
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "generators":
+            continue
+        calls = [node.func for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)]
+        assert "GeneratorChain" not in {
+            getattr(f, "id", None) or getattr(f, "attr", None)
+            for f in calls}, path.name
+
+
 def test_glued_sphere_links_its_second_cone_vertex_to_the_moved_sphere():
     for L1 in (oriented(OCTAHEDRON), oriented(STACKED6)):
         for m in mv.admissible_moves(L1):
