@@ -25,19 +25,9 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _fail(args, exc: Exception) -> int:
-    msg = {"error": type(exc).__name__, "detail": str(exc)}
-    print(json.dumps(msg, sort_keys=True) if args.json else
-          f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return 1
-
-
 def cmd_verify(args) -> int:
-    try:
-        K = Manifold4Input(load_facet_file(args.input))
-        report = verify_4manifold(K, _reduction_config(args))
-    except (ComplexError, OSError) as exc:
-        return _fail(args, exc)
+    K = Manifold4Input(load_facet_file(args.input))
+    report = verify_4manifold(K, _reduction_config(args))
     payload = {"ok": True, **report.to_json()}
     _emit(args, payload,
           "all {} vertex links certified as 3-spheres".format(len(report.links)))
@@ -45,31 +35,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        L = load_facet_file(args.input)
-        seq = reduce_sphere(L, _reduction_config(args))
-    except (ComplexError, OSError) as exc:
-        return _fail(args, exc)
+    L = load_facet_file(args.input)
+    seq = reduce_sphere(L, _reduction_config(args))
     _emit(args, {"moves": json.loads(seq.to_json())},
           seq.to_json())
     return 0
 
 
 def cmd_p1(args) -> int:
-    try:
-        L = load_facet_file(args.input)
-        if args.reverse_orientation:
-            L = L.reverse()
-        K = Manifold4Input(L)
-        budget = SolverBudget(radius_max=args.radius_max, seed=args.seed)
-        value, cert, report, gamma = pontryagin_number(
-            K, _reduction_config(args), budget)
-    except (ComplexError, OSError) as exc:
-        return _fail(args, exc)
+    L = load_facet_file(args.input)
+    if args.reverse_orientation:
+        L = L.reverse()
+    K = Manifold4Input(L)
+    budget = SolverBudget(radius_max=args.radius_max, seed=args.seed)
+    value, cert, report, gamma = pontryagin_number(
+        K, _reduction_config(args), budget)
     payload = {"p1": str(value), "cycle_size": len(gamma.coefficients),
-               "radius_used": cert.radius_used}
-    if report is not None:
-        payload["links"] = report.to_json()["links"]
+               "radius_used": cert.radius_used,
+               "links": report.to_json()["links"]}
     if args.certificate:
         payload["certificate"] = cert.to_json()
     _emit(args, payload, f"p1 = {value}")
@@ -77,14 +60,11 @@ def cmd_p1(args) -> int:
 
 
 def cmd_c0_cycle(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
-        chain = chain_from_json(entries)
-        budget = SolverBudget(radius_max=args.radius_max, seed=args.seed)
-        value, cert = evaluate_c0(chain, budget=budget)
-    except (ComplexError, OSError, ValueError, KeyError, RecursionError) as exc:
-        return _fail(args, exc)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        entries = json.load(fh)
+    chain = chain_from_json(entries)
+    budget = SolverBudget(radius_max=args.radius_max, seed=args.seed)
+    value, cert = evaluate_c0(chain, budget=budget)
     payload = {"c0": str(value), "radius_used": cert.radius_used}
     if args.certificate:
         payload["certificate"] = cert.to_json()
@@ -166,8 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb; a bad input or a failed computation exits 1 with the
+    exception's name and detail on standard error."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ComplexError, OSError, ValueError, KeyError, RecursionError) as exc:
+        msg = {"error": type(exc).__name__, "detail": str(exc)}
+        print(json.dumps(msg, sort_keys=True) if args.json else
+              f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -163,15 +163,19 @@ def _ridge_map(facets):
 
 
 def extend_orientation(facets, seed_signs: Mapping[Simplex, int]) -> dict:
-    """Propagate facet signs across ridges from the seeds; exact parity rule:
-    adjacent facets F, G with F\\R at index i, G\\R at index j satisfy
-    sign(G) = -sign(F) * (-1)**(i+j).  Raises at the first ridge, in facet
-    order, not in two facets, and unless the seeds reach every facet."""
+    """Propagate the sign of the first seed across ridges; exact parity
+    rule: adjacent facets F, G with F\\R at index i, G\\R at index j satisfy
+    sign(G) = -sign(F) * (-1)**(i+j).  Every other seed must carry the sign
+    the propagation reaches it with.  Raises at the first ridge, in facet
+    order, not in two facets, at the ridge where a sign conflicts, and
+    unless the first seed reaches every facet; the seeds keep their order
+    at the head of the result."""
     ridge_map = _ridge_map(facets)
     for r, cofaces in ridge_map.items():
         if len(cofaces) != 2:
             raise RidgeDegreeViolation(f"ridge {r} lies in {len(cofaces)} facets")
-    signs = dict(seed_signs)
+    first = next(iter(seed_signs))
+    signs = {first: seed_signs[first]}
     queue = deque(signs)
     while queue:
         f = queue.popleft()
@@ -184,23 +188,19 @@ def extend_orientation(facets, seed_signs: Mapping[Simplex, int]) -> dict:
                 want = -sf * (-1) ** (i + j)
                 old = signs.get(g)
                 if old is None:
-                    signs[g] = want
+                    old = signs[g] = seed_signs.get(g, want)
                     queue.append(g)
-                elif old != want:
+                if old != want:
                     raise NonOrientable(f"parity conflict at ridge {r}")
     if len(signs) != len(facets):
         raise ComplexError("complex is not connected")
-    return signs
+    return {**seed_signs, **signs}
 
 
 def require_closed(L: OrientedComplex) -> None:
-    """Raise unless L is closed and connected and its signs are the
-    orientation that ``extend_orientation`` propagates from one facet."""
-    f = next(iter(L.signs))
-    signs = extend_orientation(L.facets, {f: L.signs[f]})
-    if signs != L.signs:
-        g = next(g for g, s in L.signs.items() if signs[g] != s)
-        raise NonOrientable(f"sign of facet {g} disagrees with that of {f}")
+    """Raise unless L is closed and connected and its signs are an
+    orientation."""
+    extend_orientation(L.facets, L.signs)
 
 
 def _orient(facets) -> OrientedComplex:
@@ -298,10 +298,7 @@ def parse_facet_text(text: str) -> OrientedComplex:
     if not explicit:
         return _orient(facets)
     signs = dict(zip(facets, map(sort_parity, rows)))
-    # propagating every row's sign names the ridge of an inconsistent file
-    L = OrientedComplex(extend_orientation(facets, signs))
-    require_closed(L)
-    return L
+    return OrientedComplex(extend_orientation(facets, signs))
 
 
 def load_facet_file(path) -> OrientedComplex:

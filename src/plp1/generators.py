@@ -5,15 +5,19 @@ subdivision commuting with an edge flip, two commuting flips, a
 subdivide-flip-remove triangle, and two pentagon loops) generate the cycle
 space of the graph of 2-spheres.  Each loop, classified by the local
 configuration of its anchors, carries a closed-form rational value; the
-solver prices arbitrary cycles by exact decomposition over these.  A loop
-is written down as a fixed list of moves from its anchor sphere; the one
-replay in ``gamma2.loop_to_chain`` applies and checks them, each step
-once per call of ``enumerate_at``.  A loop's chain is label-free, so
+solver prices arbitrary cycles by exact decomposition over these.
+
+Each family is one function, ``build_alpha1`` … ``build_alpha6``: it
+reads the sphere's rotation system (``SphereData.rot``) once, checks and
+classifies its anchor there, raising AnchorConfigurationInvalid on a
+configuration the table does not price, and writes the loop down as a
+fixed list of moves from its anchor sphere.  The one replay in
+``gamma2.loop_to_chain`` applies and checks them, each step once per
+call of ``enumerate_at``.  A loop's chain is label-free, so
 ``enumerate_at`` builds one anchor per orbit of Aut±, the sphere's
 orientation-preserving and orientation-reversing automorphisms together
 (``SphereData.automorphisms``), and returns each chain with its mirror,
-the two columns the solver prices.  Anchors are classified on the
-sphere's rotation system (``SphereData.rot``).
+the two columns the solver prices.
 
 Chirality conventions (which arc of a vertex star is counted as p, which
 endpoint of a shared edge is x) are fixed here once and guarded by the
@@ -25,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import canonical
 from .complexes import ComplexError, OrientedComplex, Simplex
@@ -195,22 +199,6 @@ def _finish(L: OrientedComplex, moves, spec: GeneratorSpec, bit: int,
 
 # ---------------------------------------------------------------- alpha 1
 
-def classify_alpha1(L: OrientedComplex, t1: Simplex, t2: Simplex):
-    rot = canonical.sphere_data(L).rot
-    common = set(t1) & set(t2)
-    if not common:
-        return GeneratorSpec("S1_0", ()), 1
-    if len(common) == 1:
-        x = next(iter(common))
-        p = _arc_count(rot, x, t1, t2)
-        q = len(rot[x]) - p - 2
-        return GeneratorSpec("S1_1", (p, q)), 1
-    e = tuple(sorted(common))
-    x = _head_of_edge(rot, t1, e)
-    y = e[0] if x == e[1] else e[1]
-    return GeneratorSpec("S1_2", (len(rot[x]) - 2, len(rot[y]) - 2)), 1
-
-
 def build_alpha1(L: OrientedComplex, t1, t2, steps=None) -> GeneratorChain:
     """Subdivide t1, subdivide t2, remove the first new vertex, remove the
     second: the commutator of the two subdivisions, a closed loop for any
@@ -218,40 +206,24 @@ def build_alpha1(L: OrientedComplex, t1, t2, steps=None) -> GeneratorChain:
     t1, t2 = tuple(sorted(t1)), tuple(sorted(t2))
     if t1 not in L.facets or t2 not in L.facets or t1 == t2:
         raise AnchorConfigurationInvalid("need two distinct facets")
+    rot = canonical.sphere_data(L).rot
+    common = set(t1) & set(t2)
+    if not common:
+        spec = GeneratorSpec("S1_0", ())
+    elif len(common) == 1:
+        (x,) = common
+        p = _arc_count(rot, x, t1, t2)
+        spec = GeneratorSpec("S1_1", (p, len(rot[x]) - p - 2))
+    else:
+        x = _head_of_edge(rot, t1, tuple(sorted(common)))
+        (y,) = common - {x}
+        spec = GeneratorSpec("S1_2", (len(rot[x]) - 2, len(rot[y]) - 2))
     v1 = max(L.vertices) + 1
     m1, m2 = Move(t1, (v1,)), Move(t2, (v1 + 1,))
-    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()],
-                   *classify_alpha1(L, t1, t2), steps)
+    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], spec, 1, steps)
 
 
 # ---------------------------------------------------------------- alpha 2
-
-def classify_alpha2(L: OrientedComplex, t: Simplex, e: Simplex):
-    rot = canonical.sphere_data(L).rot
-    tris = _edge_triangles(rot, e)
-    if tris is None:
-        return None
-    (d1, i1), (d2, i2) = sorted(
-        ((d, set(t) & set(d)) for d in tris), key=lambda p: -len(p[1]))
-    if not i1:
-        return GeneratorSpec("S2_0", ()), 1
-    if len(i1) == 1 and not i2:
-        x = next(iter(i1))
-        p = _arc_count(rot, x, t, d1)
-        return GeneratorSpec("S2_1", (p, len(rot[x]) - p - 2)), 1
-    if len(i1) == 2:
-        e1 = tuple(sorted(i1))
-        in_e = set(e1) & set(e)
-        if len(in_e) != 1:
-            return None
-        y = next(iter(in_e))
-        x = e1[0] if y == e1[1] else e1[1]
-        if i2 != {y}:
-            return None
-        bit = _triple_bit(rot, y, t, d1, d2)
-        return GeneratorSpec("S2_2", (len(rot[x]) - 2, len(rot[y]) - 3)), bit
-    return None
-
 
 def build_alpha2(L: OrientedComplex, t, e, steps=None) -> GeneratorChain:
     """Subdivide t, flip e, remove the new vertex, flip back: the commutator
@@ -261,16 +233,33 @@ def build_alpha2(L: OrientedComplex, t, e, steps=None) -> GeneratorChain:
         raise AnchorConfigurationInvalid(f"{t} is not a facet")
     if set(e) <= set(t):
         raise AnchorConfigurationInvalid("edge lies in the subdivided triangle")
-    classified = classify_alpha2(L, t, e)
-    if classified is None:
+    rot = canonical.sphere_data(L).rot
+    tris = _edge_triangles(rot, e)
+    if tris is None:
+        raise AnchorConfigurationInvalid(f"{e} is not an edge")
+    # d1 is the triangle on e that meets t more
+    (d1, i1), (d2, i2) = sorted(
+        ((d, set(t) & set(d)) for d in tris), key=lambda p: -len(p[1]))
+    bit = 1
+    if not i1:
+        spec = GeneratorSpec("S2_0", ())
+    elif len(i1) == 1 and not i2:
+        (x,) = i1
+        p = _arc_count(rot, x, t, d1)
+        spec = GeneratorSpec("S2_1", (p, len(rot[x]) - p - 2))
+    elif len(i1) == 2 and len(i1 & set(e)) == 1 and i2 == i1 & set(e):
+        # t and d1 share the edge {x, y}, and y is the one vertex of e in t
+        (y,), (x,) = i2, i1 - i2
+        bit = _triple_bit(rot, y, t, d1, d2)
+        spec = GeneratorSpec("S2_2", (len(rot[x]) - 2, len(rot[y]) - 3))
+    else:
         raise AnchorConfigurationInvalid("configuration is not a priced pattern")
     try:
         m2 = make_move(L, e)
     except MoveNotAdmissible as exc:
         raise AnchorConfigurationInvalid(str(exc))
     m1 = Move(t, (max(L.vertices) + 1,))
-    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified,
-                   steps)
+    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], spec, bit, steps)
 
 
 # ---------------------------------------------------------------- alpha 3
@@ -289,33 +278,6 @@ def admissible_pair(L: OrientedComplex, e1, e2):
     return (m1, m2) if m1.delta2 != m2.delta2 else None
 
 
-def classify_alpha3(L: OrientedComplex, e1: Simplex, e2: Simplex):
-    """Classify an admissible pair: both edges are edges of L."""
-    rot = canonical.sphere_data(L).rot
-    side1, side2 = _edge_triangles(rot, e1), _edge_triangles(rot, e2)
-    overlaps = [(d1, d2, set(d1) & set(d2)) for d1 in side1 for d2 in side2]
-    nonempty = [(d1, d2, c) for d1, d2, c in overlaps if c]
-    if not nonempty:
-        return GeneratorSpec("S3_0", ()), 1
-    if len(nonempty) == 1 and len(nonempty[0][2]) == 1:
-        d1, d2, c = nonempty[0]
-        x = next(iter(c))
-        p = _arc_count(rot, x, d1, d2)
-        return GeneratorSpec("S3_1", (p, len(rot[x]) - p - 2)), 1
-    shared = [(d1, d2, c) for d1, d2, c in nonempty if len(c) == 2]
-    if len(shared) == 1:
-        d1, d2, c = shared[0]
-        xy = tuple(sorted(c))
-        in1, in2 = set(xy) & set(e1), set(xy) & set(e2)
-        if len(in1) == 1 and len(in2) == 1 and in1 != in2:
-            y, x = next(iter(in1)), next(iter(in2))
-            d3 = next(f for f in side1 if f != d1)
-            bit = _triple_bit(rot, y, d3, d1, d2)
-            return (GeneratorSpec("S3_2", (len(rot[x]) - 3, len(rot[y]) - 3)),
-                    bit)
-    return None
-
-
 def build_alpha3(L: OrientedComplex, e1, e2, steps=None) -> GeneratorChain:
     """Flip e1, flip e2, flip the first new edge back, flip the second back:
     the commutator of the two flips, both built on L."""
@@ -323,12 +285,31 @@ def build_alpha3(L: OrientedComplex, e1, e2, steps=None) -> GeneratorChain:
     pair = admissible_pair(L, e1, e2)
     if pair is None:
         raise AnchorConfigurationInvalid(f"({e1}, {e2}) is not an admissible pair")
-    classified = classify_alpha3(L, e1, e2)
-    if classified is None:
+    rot = canonical.sphere_data(L).rot
+    side1, side2 = _edge_triangles(rot, e1), _edge_triangles(rot, e2)
+    overlaps = [(d1, d2, set(d1) & set(d2)) for d1 in side1 for d2 in side2]
+    nonempty = [(d1, d2, c) for d1, d2, c in overlaps if c]
+    shared = [(d1, d2, c) for d1, d2, c in nonempty if len(c) == 2]
+    bit = 1
+    if not nonempty:
+        spec = GeneratorSpec("S3_0", ())
+    elif len(nonempty) == 1 and len(nonempty[0][2]) == 1:
+        d1, d2, (x,) = nonempty[0]
+        p = _arc_count(rot, x, d1, d2)
+        spec = GeneratorSpec("S3_1", (p, len(rot[x]) - p - 2))
+    elif len(shared) == 1 and not set(e1) & set(e2):
+        # no triangle holds both edges, so the edge that d1 and d2 share
+        # has one vertex y on e1 and one vertex x on e2; x != y as the edges
+        # are disjoint
+        d1, d2, c = shared[0]
+        (y,), (x,) = c & set(e1), c & set(e2)
+        d3 = next(f for f in side1 if f != d1)
+        bit = _triple_bit(rot, y, d3, d1, d2)
+        spec = GeneratorSpec("S3_2", (len(rot[x]) - 3, len(rot[y]) - 3))
+    else:
         raise AnchorConfigurationInvalid("configuration is not a priced pattern")
     m1, m2 = pair
-    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], *classified,
-                   steps)
+    return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], spec, bit, steps)
 
 
 # ---------------------------------------------------------------- alpha 4
@@ -343,22 +324,18 @@ def _hub_of(rot: dict, x, y, z):
     return hubs[0]
 
 
-def classify_alpha4(L: OrientedComplex, x, y, z):
-    rot = canonical.sphere_data(L).rot
-    bit = _fan_bit(rot, _hub_of(rot, x, y, z), (x, y, z, x))
-    return GeneratorSpec(
-        "S4", (len(rot[x]) - 2, len(rot[y]) - 2, len(rot[z]) - 2)), bit
-
-
 def build_alpha4(L: OrientedComplex, x, y, z, steps=None) -> GeneratorChain:
     """Subdivide {u,y,z} with a new vertex v, flip {u,z} onto {x,v}, remove
     u (its link is then {x,y,v}); closes up to the relabeling u -> v."""
-    classified = classify_alpha4(L, x, y, z)
-    u = _hub_of(canonical.sphere_data(L).rot, x, y, z)
+    rot = canonical.sphere_data(L).rot
+    u = _hub_of(rot, x, y, z)
+    bit = _fan_bit(rot, u, (x, y, z, x))
+    spec = GeneratorSpec(
+        "S4", (len(rot[x]) - 2, len(rot[y]) - 2, len(rot[z]) - 2))
     v = max(L.vertices) + 1
     moves = [_move((u, y, z), (v,)), _move((u, z), (x, v)),
              _move((u,), (x, y, v))]
-    return _finish(L, moves, *classified, steps)
+    return _finish(L, moves, spec, bit, steps)
 
 
 # ---------------------------------------------------------------- alpha 5
@@ -378,98 +355,81 @@ def _require_full(L: OrientedComplex, rot: dict, verts, triangles) -> None:
             f"full subcomplex on {verts} is not the required triangles")
 
 
-def classify_alpha5(L: OrientedComplex, x, y, z, u):
-    rot = canonical.sphere_data(L).rot
-    _require_full(L, rot, (x, y, z, u), [(x, y, z), (x, z, u)])
-    bit = _fan_bit(rot, x, (y, z, u))
-    return GeneratorSpec("S5", (len(rot[x]) - 2, len(rot[y]) - 1,
-                                len(rot[z]) - 2, len(rot[u]) - 1)), bit
-
-
 def build_alpha5(L: OrientedComplex, x, y, z, u,
                  steps=None) -> GeneratorChain:
     """Pentagon loop: subdivide {x,z,u} with a new vertex w, flip {x,z} onto
     {y,w}, flip {w,z} onto {y,u}, remove w (its link is then {x,y,u}),
     flip {y,u} back onto {x,z}."""
-    classified = classify_alpha5(L, x, y, z, u)
+    rot = canonical.sphere_data(L).rot
+    _require_full(L, rot, (x, y, z, u), [(x, y, z), (x, z, u)])
+    bit = _fan_bit(rot, x, (y, z, u))
+    spec = GeneratorSpec("S5", (len(rot[x]) - 2, len(rot[y]) - 1,
+                                len(rot[z]) - 2, len(rot[u]) - 1))
     w = max(L.vertices) + 1
     moves = [_move((x, z, u), (w,)), _move((x, z), (y, w)),
              _move((w, z), (y, u)), _move((w,), (x, y, u)),
              _move((y, u), (x, z))]
-    return _finish(L, moves, *classified, steps)
+    return _finish(L, moves, spec, bit, steps)
 
 
 # ---------------------------------------------------------------- alpha 6
-
-def classify_alpha6(L: OrientedComplex, x, y, z, u, v):
-    rot = canonical.sphere_data(L).rot
-    _require_full(L, rot, (x, y, z, u, v), [(x, y, z), (x, z, u), (x, u, v)])
-    bit = _fan_bit(rot, x, (y, z, u, v))
-    return GeneratorSpec("S6", (len(rot[x]) - 3, len(rot[y]) - 1,
-                                len(rot[z]) - 2, len(rot[u]) - 2,
-                                len(rot[v]) - 1)), bit
-
 
 def build_alpha6(L: OrientedComplex, x, y, z, u, v,
                  steps=None) -> GeneratorChain:
     """Pentagon of five flips around the fan of three triangles at x:
     {x,z} onto {y,u}, {x,u} onto {y,v}, {y,u} onto {z,v}, {y,v} onto {x,z},
     {z,v} onto {x,u}."""
-    classified = classify_alpha6(L, x, y, z, u, v)
+    rot = canonical.sphere_data(L).rot
+    _require_full(L, rot, (x, y, z, u, v), [(x, y, z), (x, z, u), (x, u, v)])
+    bit = _fan_bit(rot, x, (y, z, u, v))
+    spec = GeneratorSpec("S6", (len(rot[x]) - 3, len(rot[y]) - 1,
+                                len(rot[z]) - 2, len(rot[u]) - 2,
+                                len(rot[v]) - 1))
     moves = [_move((x, z), (y, u)), _move((x, u), (y, v)),
              _move((y, u), (z, v)), _move((y, v), (x, z)),
              _move((z, v), (x, u))]
-    return _finish(L, moves, *classified, steps)
+    return _finish(L, moves, spec, bit, steps)
 
 
 # ---------------------------------------------------------------- surveys
 
-FAMILIES = ("S1", "S2", "S3", "S4", "S5", "S6")
-
-
-def _anchors(L: OrientedComplex, families):
-    """(builder, anchor, unordered) for every anchor of the given families
-    at L, in the order ``enumerate_at`` tries them.  ``unordered`` marks
-    the pair families α1 and α3: the swapped pair replays the reverse
-    loop, whose chain is the negated one."""
+def _anchors(L: OrientedComplex):
+    """(builder, anchor, unordered) for every anchor at L, in the order
+    ``enumerate_at`` tries them.  ``unordered`` marks the pair families α1
+    and α3: the swapped pair replays the reverse loop, whose chain is the
+    negated one."""
     rot = canonical.sphere_data(L).rot
     facets = sorted(L.facets)
     adm = sorted(m.delta1 for m in admissible_moves(L, (2,)))
-    if "S1" in families:
-        for t1, t2 in itertools.combinations(facets, 2):
-            yield build_alpha1, (t1, t2), True
-    if "S2" in families:
-        for t in facets:
-            for e in adm:
-                if not set(e) <= set(t):
-                    yield build_alpha2, (t, e), False
-    if "S3" in families:
-        for e1, e2 in itertools.combinations(adm, 2):
-            yield build_alpha3, (e1, e2), True
-    if "S4" in families:
-        for u in L.vertices:
-            if len(rot[u]) == 3:
-                cyc = _link_cycle(rot, u)
-                for roll in range(3):
-                    x, y, z = cyc[roll:] + cyc[:roll]
-                    yield build_alpha4, (x, y, z), False
-                    yield build_alpha4, (x, z, y), False
-    if "S5" in families:
-        for e in sorted(L.faces(1)):
-            x0, z0 = e
-            tips = sorted((rot[x0][z0], rot[z0][x0]))
-            for x, z in ((x0, z0), (z0, x0)):
-                for y, u in (tips, tips[::-1]):
-                    yield build_alpha5, (x, y, z, u), False
-    if "S6" in families:
-        for x in L.vertices:
-            cyc = _link_cycle(rot, x)
-            if len(cyc) < 4:
-                continue
-            for ordered in (cyc, cyc[::-1]):
-                for i in range(len(ordered)):
-                    window = [ordered[(i + j) % len(ordered)] for j in range(4)]
-                    yield build_alpha6, (x, *window), False
+    for t1, t2 in itertools.combinations(facets, 2):
+        yield build_alpha1, (t1, t2), True
+    for t in facets:
+        for e in adm:
+            if not set(e) <= set(t):
+                yield build_alpha2, (t, e), False
+    for e1, e2 in itertools.combinations(adm, 2):
+        yield build_alpha3, (e1, e2), True
+    for u in L.vertices:
+        if len(rot[u]) == 3:
+            cyc = _link_cycle(rot, u)
+            for roll in range(3):
+                x, y, z = cyc[roll:] + cyc[:roll]
+                yield build_alpha4, (x, y, z), False
+                yield build_alpha4, (x, z, y), False
+    for e in sorted(L.faces(1)):
+        x0, z0 = e
+        tips = sorted((rot[x0][z0], rot[z0][x0]))
+        for x, z in ((x0, z0), (z0, x0)):
+            for y, u in (tips, tips[::-1]):
+                yield build_alpha5, (x, y, z, u), False
+    for x in L.vertices:
+        cyc = _link_cycle(rot, x)
+        if len(cyc) < 4:
+            continue
+        for ordered in (cyc, cyc[::-1]):
+            for i in range(len(ordered)):
+                window = [ordered[(i + j) % len(ordered)] for j in range(4)]
+                yield build_alpha6, (x, *window), False
 
 
 def _image(sigma: dict, anchor: tuple) -> tuple:
@@ -478,13 +438,11 @@ def _image(sigma: dict, anchor: tuple) -> tuple:
                  else sigma[a] for a in anchor)
 
 
-def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
-    """The solver's columns at L: each priced loop with a nonzero chain, then
-    its mirror; repeats up to sign are kept for ``evaluate_c0`` to drop.
-
-    ``kinds`` names the families to build (``FAMILIES`` by default); an
-    unknown name raises ValueError.  Unclassifiable configurations are
-    skipped since they carry no value.
+def enumerate_at(L: OrientedComplex):
+    """The solver's columns at L: each priced loop of every family with a
+    nonzero chain, then its mirror; repeats up to sign are kept for
+    ``evaluate_c0`` to drop.  Configurations the table does not price
+    (AnchorConfigurationInvalid) carry no value and are skipped.
 
     A chain is written in canonical codes and orbits, so anchors that an
     orientation-preserving automorphism of L maps onto each other give the
@@ -502,17 +460,15 @@ def enumerate_at(L: OrientedComplex, kinds: Optional[Iterable[str]] = None):
     All loops of one call replay through one step table (see
     ``loop_to_chain``), so each (state, move) step is applied and priced
     once per call.  The α1-α3 commutators repeat steps: a move out of L
-    opens many loops, and the inverse move back into L closes many.
+    opens many loops, and the inverse move back into L closes many.  The
+    families share no tried anchors, and the step table only caches, so
+    the columns of one family are the same whatever other families build.
     """
-    want = set(FAMILIES if kinds is None else kinds)
-    unknown = sorted(want - set(FAMILIES))
-    if unknown:
-        raise ValueError(f"unknown generator families {unknown}")
     plus, minus = canonical.sphere_data(L).automorphisms()
     out = []
     tried = set()
     steps: dict = {}
-    for builder, anchor, unordered in _anchors(L, want):
+    for builder, anchor, unordered in _anchors(L):
         if (builder, anchor) in tried:
             continue
         images = [_image(sigma, anchor) for sigma in plus]

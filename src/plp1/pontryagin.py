@@ -237,13 +237,9 @@ def assemble_p1_cycle(K: Manifold4Input,
 
 def pontryagin_number(K: Manifold4Input,
                       cfg: Optional[ReductionConfig] = None,
-                      budget: Optional[SolverBudget] = None,
-                      reductions: Optional[Dict[int, MoveSequence]] = None):
+                      budget: Optional[SolverBudget] = None):
     """Exact first Pontryagin number plus the decomposition certificate."""
-    report = None
-    if reductions is None:
-        report = verify_4manifold(K, cfg)
-        reductions = report.links
-    gamma, registry = assemble_p1_cycle(K, reductions)
+    report = verify_4manifold(K, cfg)
+    gamma, registry = assemble_p1_cycle(K, report.links)
     value, cert = evaluate_c0(gamma, registry, budget)
     return value / 2, cert, report, gamma

@@ -14,7 +14,7 @@ from typing import Dict, Iterable
 
 from . import canonical
 from .complexes import (ComplexError, OrientedComplex, Simplex,
-                        oriented_link, oriented_link_simplex)
+                        oriented_link_simplex, oriented_links)
 from .gamma2 import _sparse_sum
 from .moves import Move, apply_move, build_L_beta, induced_vertex_moves
 
@@ -34,13 +34,11 @@ class LocalFunction:
 
     def __init__(self, entries: Iterable = ()):
         self.table: Dict[bytes, Fraction] = {}
-        for sphere_or_code, value in entries:
-            self.set_value(sphere_or_code, value)
+        for L, value in entries:
+            self.set_value(L, value)
 
-    def set_value(self, L, value) -> None:
+    def set_value(self, L: OrientedComplex, value) -> None:
         value = Fraction(value)
-        if not isinstance(L, OrientedComplex):
-            L = canonical.complex_from_code(bytes(L))
         data = canonical.sphere_data(L)
         code, mirror = data.code, data.mirror_code
         if code == mirror:
@@ -68,7 +66,8 @@ def delta_eval(f: LocalFunction, L: OrientedComplex) -> Fraction:
     """(delta f)(L) = sum of f over the oriented vertex links of L."""
     if L.dim != f.degree:
         raise DimensionMismatch(f"need a {f.degree}-dimensional complex")
-    return sum((f.value(oriented_link(L, v)) for v in L.vertices), Fraction(0))
+    return sum(map(f.value, oriented_links(L, L.vertices).values()),
+               Fraction(0))
 
 
 def delta2_eval(f: LocalFunction, M: OrientedComplex) -> Fraction:
@@ -76,8 +75,8 @@ def delta2_eval(f: LocalFunction, M: OrientedComplex) -> Fraction:
     skew table when the link orientation convention is coherent."""
     if M.dim != f.degree + 1:
         raise DimensionMismatch(f"need a {f.degree + 1}-dimensional complex")
-    return sum((delta_eval(f, oriented_link(M, v)) for v in M.vertices),
-               Fraction(0))
+    return sum((delta_eval(f, lk)
+                for lk in oriented_links(M, M.vertices).values()), Fraction(0))
 
 
 def f_sharp(f: LocalFunction, K: OrientedComplex) -> Dict[Simplex, Fraction]:

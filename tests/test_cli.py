@@ -319,6 +319,28 @@ def test_selfcheck(capsys):
         "equivariance"}
 
 
+# The whole ``plp1 selfcheck --json`` line, and the generator loops its
+# equivariance suite evaluates: (kind, params, mirrored).
+SELFCHECK_LINE = (
+    '{"ok": true, "suites": ['
+    '{"checked": 100, "failures": 0, "suite": "homotopy-identity"}, '
+    '{"checked": 20, "failures": 0, "suite": "delta-squared"}, '
+    '{"checked": 8, "failures": 0, "suite": "generator-value-table"}, '
+    '{"checked": 7, "failures": 0, "suite": "equivariance"}]}\n')
+FIXTURE_LOOPS = [
+    ("S4", (1, 1, 1), False), ("S6", (2, 2, 2, 2, 2), False),
+    ("S2_2", (2, 2), False), ("S2_2", (1, 2), False), ("S2_2", (1, 1), False),
+    ("S2_1", (1, 1), False), ("S2_2", (1, 2), False),
+    ("S5", (3, 2, 2, 3), False)]
+
+
+def test_selfcheck_is_pinned(capsys):
+    from plp1.selfcheck import _fixture_loops
+    assert [(g.spec.kind, g.spec.params, g.mirrored)
+            for g in _fixture_loops()] == FIXTURE_LOOPS
+    assert run_cli(capsys, "selfcheck", "--json") == (0, SELFCHECK_LINE, "")
+
+
 def test_malformed_input_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.facets"
     for content in (b"dim=x\n1 2 3 4 5\n", b"1 2 3 4 five\n", b"\xba\xff\n",

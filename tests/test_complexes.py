@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 
@@ -56,6 +57,44 @@ def test_boundary_d5_orientable():
 def test_projective_plane_is_not_orientable():
     with pytest.raises(cx.NonOrientable):
         cx.orient(RP2_6)
+
+
+def test_explicit_file_is_read_in_one_traversal(monkeypatch):
+    """One propagation decides closed, connected and consistent, and the
+    facets keep the order of the rows."""
+    calls = []
+    extend_orientation = cx.extend_orientation
+
+    def counted(facets, seed_signs):
+        calls.append(len(seed_signs))
+        return extend_orientation(facets, seed_signs)
+
+    monkeypatch.setattr(cx, "extend_orientation", counted)
+    L = cx.parse_facet_text("orient=explicit\n2 3 4\n1 4 3\n1 2 4\n1 3 2\n")
+    assert calls == [4]
+    assert L == cx.orient(L.facets).reverse()
+    assert list(L.facets) == [(2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3)]
+
+
+def test_inconsistent_explicit_file_names_a_conflicting_ridge():
+    """Row 1 2 3 carries the sign opposite to the one the other three rows
+    give it.  The ridge named is an edge of that row, on which both of its
+    rows induce the same direction (the edge after the opposite vertex)."""
+    rows = [(2, 3, 4), (1, 4, 3), (1, 2, 4), (1, 2, 3)]
+    text = "".join(" ".join(map(str, r)) + "\n" for r in rows)
+    with pytest.raises(cx.NonOrientable) as info:
+        cx.parse_facet_text("orient=explicit\n" + text)
+    m = re.fullmatch(r"parity conflict at ridge \((\d), (\d)\)",
+                     str(info.value))
+    ridge = {int(m[1]), int(m[2])}
+    assert ridge < {1, 2, 3}
+    directions = []
+    for r in rows:
+        if ridge < set(r):
+            (w,) = set(r) - ridge
+            i = r.index(w)
+            directions.append(r[i + 1:] + r[:i])
+    assert len(directions) == 2 and directions[0] == directions[1]
 
 
 def test_vertex_links():
