@@ -27,9 +27,8 @@ relations among overlapping loops, so any inconsistent choice breaks them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import canonical
 from .complexes import ComplexError, OrientedComplex, Simplex
@@ -41,8 +40,7 @@ class AnchorConfigurationInvalid(ComplexError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     kind: str
     params: tuple
 
@@ -66,8 +64,7 @@ CHIRALITY = {
 }
 
 
-@dataclass
-class GeneratorChain:
+class GeneratorChain(NamedTuple):
     """A solver column: a loop's chain and value, or both mirrored."""
     spec: GeneratorSpec
     mirrored: bool

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
                         Simplex, orient, oriented_link, oriented_links)
@@ -26,10 +25,10 @@ class InducedDiffNotABistellarMove(ComplexError):
     pass
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """delta1 is the simplex the move is associated with; delta2 the derived
-    cofactor (for a top-dimensional delta1 it is the single fresh vertex)."""
+    cofactor (for a top-dimensional delta1 it is the single fresh vertex).
+    Equal moves hash alike, so a move can key the step table."""
     delta1: Simplex
     delta2: Simplex
 
@@ -99,15 +98,17 @@ def admissible_moves(L: OrientedComplex, sizes: Optional[Iterable[int]] = None) 
     nv = max(L.vertices) + 1 if n + 1 in sizes else None
     out = []
     for d1, star in stars.items():
-        if len(d1) not in sizes:
+        k = len(d1)
+        if k not in sizes:
             continue
-        if len(d1) == n + 1:
+        if k == n + 1:
             out.append(Move(d1, (nv,)))
-            continue
-        try:
-            out.append(Move(d1, _cofactor(d1, star, n, stars.__contains__)))
-        except MoveNotAdmissible:
-            pass
+        # the size test of _cofactor, made here so most faces raise nothing
+        elif len(star) == n + 2 - k:
+            try:
+                out.append(Move(d1, _cofactor(d1, star, n, stars.__contains__)))
+            except MoveNotAdmissible:
+                pass
     return out
 
 
@@ -160,8 +161,7 @@ def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
     return OrientedComplex(signs)
 
 
-@dataclass(frozen=True)
-class InducedMoveRecord:
+class InducedMoveRecord(NamedTuple):
     vertex: int
     induced: Move
     link_before: OrientedComplex

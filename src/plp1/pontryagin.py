@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from . import canonical
@@ -53,18 +52,20 @@ class AssembledChainNotACycle(ComplexError):
     pass
 
 
-@dataclass
 class Manifold4Input:
-    complex: OrientedComplex
+    """A closed oriented 4-complex, the input of the pipeline."""
 
-    def __post_init__(self):
-        if self.complex.dim != 4:
-            raise ComplexError(f"need a 4-complex, got dim {self.complex.dim}")
+    def __init__(self, complex: OrientedComplex):
+        if complex.dim != 4:
+            raise ComplexError(f"need a 4-complex, got dim {complex.dim}")
+        self.complex = complex
 
 
-@dataclass
 class VerificationReport:
-    links: Dict[int, MoveSequence] = field(default_factory=dict)
+    """The certified reduction of every vertex link, by vertex."""
+
+    def __init__(self, links: Optional[Dict[int, MoveSequence]] = None):
+        self.links = {} if links is None else links
 
     def to_json(self) -> dict:
         return {"links": [

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .complexes import ComplexError, OrientedComplex
 from .moves import Move, MoveSequence, admissible_moves, apply_move
@@ -32,17 +31,18 @@ WEIGHT_VERTICES = 8
 WEIGHT_FACETS = 1
 
 
-@dataclass
 class ReductionConfig:
-    seed: int = 0
-    max_steps: int = 3000
-    restarts: int = 8
+    """The seed and budget of ``reduce_sphere``: ``restarts`` runs of at
+    most ``max_steps`` moves each."""
 
-    def __post_init__(self):
-        if self.max_steps <= 0:
+    def __init__(self, seed: int = 0, max_steps: int = 3000, restarts: int = 8):
+        if max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if self.restarts < 1:
+        if restarts < 1:
             raise ValueError("restarts must be positive")
+        self.seed = seed
+        self.max_steps = max_steps
+        self.restarts = restarts
 
 
 def _is_target(L: OrientedComplex) -> bool:

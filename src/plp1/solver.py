@@ -15,10 +15,9 @@ cycle out of span and none gave a certificate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import canonical
 from .complexes import ComplexError
@@ -166,8 +165,7 @@ def _over_primes(solve):
     raise ComplexError(f"no prime of {PRIMES} gives an exact result")
 
 
-@dataclass
-class DecompositionCertificate:
+class DecompositionCertificate(NamedTuple):
     terms: list            # (GeneratorChain, Fraction coefficient)
     value: Fraction
     radius_used: int
@@ -191,8 +189,7 @@ class DecompositionCertificate:
         }
 
 
-@dataclass
-class SolverBudget:
+class SolverBudget(NamedTuple):
     radius_max: int = 2
     seed: int = 0
 

@@ -12,7 +12,7 @@ from plp1 import moves as mv
 from plp1 import reduction as red
 from plp1.fixtures import cp2_9, link_L, sequence_9
 
-from conftest import BIPYRAMID, OCTAHEDRON, STACKED6, oriented
+from conftest import BIPYRAMID, OCTAHEDRON, STACKED6, oriented, subdivided
 from isomorphism import iso_generic
 
 
@@ -41,21 +41,32 @@ def _admissible_by_face(L):
     return out
 
 
+def _assert_scan_matches_reference(L):
+    """admissible_moves(L, sizes), for every subset of sizes, is the
+    reference scan filtered to those sizes; returns the full list."""
+    reference = _admissible_by_face(L)
+    assert mv.admissible_moves(L) == reference
+    kinds = range(1, L.dim + 2)
+    for r in kinds:
+        for sizes in itertools.combinations(kinds, r):
+            assert mv.admissible_moves(L, sizes) == [
+                m for m in reference if len(m.delta1) in sizes]
+    return reference
+
+
 def test_indexed_scan_matches_per_face_scan(octahedron, stacked6):
+    """On random walks from small spheres and CP2 vertex links, on the
+    boundary of the 4-simplex, and on each state of one seeded reduction."""
     rng = random.Random(7)
     K = cp2_9()
     starts = [octahedron, stacked6] + [cx.oriented_link(K, v) for v in K.vertices]
     for L in starts:
-        kinds = range(1, L.dim + 2)
-        subsets = [s for r in kinds for s in itertools.combinations(kinds, r)]
         for _ in range(8):
-            moves = mv.admissible_moves(L)
-            reference = _admissible_by_face(L)
-            assert moves == reference
-            for sizes in subsets:
-                assert mv.admissible_moves(L, sizes) == [
-                    m for m in reference if len(m.delta1) in sizes]
-            L = mv.apply_move(L, rng.choice(moves))
+            L = mv.apply_move(L, rng.choice(_assert_scan_matches_reference(L)))
+    lk = cx.oriented_link(subdivided(K, 8), 3)
+    seq = red.reduce_sphere(lk, red.ReductionConfig(seed=3))
+    for L in [cx.boundary_simplex(4), lk] + [after for _, _, after in seq.replay()]:
+        _assert_scan_matches_reference(L)
 
 
 def _candidate_moves(L):
