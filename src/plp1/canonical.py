@@ -289,6 +289,8 @@ def complex_from_code(code: bytes) -> OrientedComplex:
     while i < len(order):
         v = order[i]
         i += 1
+        if pos >= len(seq) or pos + seq[pos] >= len(seq):
+            raise ComplexError("truncated canonical code")
         deg = seq[pos]
         pos += 1
         nbrs = []

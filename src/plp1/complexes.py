@@ -234,16 +234,6 @@ def oriented_links(L: OrientedComplex, vertices: Iterable[int]) -> dict:
     return {v: OrientedComplex(signs) for v, signs in links.items()}
 
 
-def oriented_link_simplex(L: OrientedComplex, s: Simplex) -> OrientedComplex:
-    """Link of a simplex with the induced orientation, taken as the link of
-    each of its vertices in turn, in increasing order: a positively oriented
-    facet written (s, w0, ..., w_k) induces the positively oriented facet
-    (w0, ..., w_k) in the link of s."""
-    for v in sorted(s):
-        L = oriented_link(L, v)
-    return L
-
-
 def boundary_simplex(n: int) -> OrientedComplex:
     """The boundary of the n-simplex on vertices 0..n, canonically oriented."""
     verts = tuple(range(n + 1))

@@ -138,10 +138,11 @@ def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
     if len(d1) == L.dim + 1:
         admissible = d1 in L.signs and len(d2) == 1 and not present
     else:
-        # ``present`` is about m.delta2; a derived cofactor that differs
-        # from it is rejected either way
+        # ``present`` is about m.delta2: a derived cofactor that differs from
+        # it fails the comparison, and the message names the move
         admissible = (d1 == tuple(sorted(d1))
-                      and _cofactor(d1, star, L.dim, lambda _: present) == d2)
+                      and _cofactor(d1, star, L.dim,
+                                    lambda c: present and c == d2) == d2)
     if not admissible:
         raise MoveNotAdmissible(f"{m} not admissible")
     if not signs:

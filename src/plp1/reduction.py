@@ -88,17 +88,13 @@ def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
             pick = cands[rng.randrange(len(cands))]
             d = _change(len(pick.delta1), n)
             if d > 0 and rng.random() >= math.exp(-d / max(temp, 1e-9)):
-                temp *= COOLING
-                stagnant += 1
-                if stagnant >= REHEAT_AFTER:
-                    temp = TEMP_INIT
-                    stagnant = 0
-                continue
-        if len(pick.delta2) == 1:
-            pick = Move(pick.delta1, (fresh,))
-            fresh += 1
-        state = apply_move(state, pick)
-        moves.append(pick)
+                pick = None  # a rejected uphill pick: the state stays
+        if pick is not None:
+            if len(pick.delta2) == 1:
+                pick = Move(pick.delta1, (fresh,))
+                fresh += 1
+            state = apply_move(state, pick)
+            moves.append(pick)
         temp *= COOLING
         obj = _objective(state)
         if obj < best:
@@ -109,9 +105,7 @@ def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
             if stagnant >= REHEAT_AFTER:
                 temp = TEMP_INIT
                 stagnant = 0
-    if _is_target(state):
-        return moves
-    return None
+    return moves if _is_target(state) else None
 
 
 def reduce_sphere(L: OrientedComplex, cfg: ReductionConfig | None = None) -> MoveSequence:

@@ -16,9 +16,10 @@ from .complexes import (OrientedComplex, boundary_simplex, oriented_links,
 from .gamma2 import mirror_chain
 from .generators import (GeneratorSpec, build_alpha4, build_alpha6, c0_of,
                          enumerate_at)
-from .moves import admissible_moves, apply_move, build_L_beta, induced_vertex_moves
+from .moves import admissible_moves, apply_move
 from .solver import evaluate_c0
-from .tcomplex import LocalFunction, delta2_eval, prop_identity_residual
+from .tcomplex import (LocalFunction, delta2_eval, identity_terms,
+                       prop_identity_residual)
 
 
 def random_walk(L: OrientedComplex, steps: int, rng: random.Random,
@@ -40,16 +41,6 @@ def random_skew_table(spheres, rng: random.Random) -> LocalFunction:
     return f
 
 
-def _identity_data(L, move):
-    """Spheres a non-vacuous table for the homotopy identity should hit."""
-    involved = [L, apply_move(L, move)]
-    for rec in induced_vertex_moves(L, move, involved[1]):
-        involved.append(build_L_beta(rec.link_before, rec.induced))
-    L_beta = build_L_beta(L, move)
-    involved += oriented_links(L_beta, L_beta.vertices).values()
-    return involved
-
-
 def identity_cases(pairs: int, seed: int):
     """Seeded random (skew table, 2-sphere, move) triples."""
     rng = random.Random(seed)
@@ -58,7 +49,8 @@ def identity_cases(pairs: int, seed: int):
     for _ in range(pairs):
         L = pool[rng.randrange(len(pool))]
         move = rng.choice(admissible_moves(L))
-        f = random_skew_table(_identity_data(L, move) + rng.sample(pool, 3), rng)
+        spheres = [S for _, S in identity_terms(L, move)]
+        f = random_skew_table(spheres + rng.sample(pool, 3), rng)
         yield f, L, move
 
 

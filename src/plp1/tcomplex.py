@@ -13,9 +13,7 @@ from fractions import Fraction
 from typing import Dict, Iterable
 
 from . import canonical
-from .complexes import (ComplexError, OrientedComplex, Simplex,
-                        oriented_link_simplex, oriented_links)
-from .gamma2 import _sparse_sum
+from .complexes import ComplexError, OrientedComplex, oriented_links
 from .moves import Move, apply_move, build_L_beta, induced_vertex_moves
 
 
@@ -79,45 +77,26 @@ def delta2_eval(f: LocalFunction, M: OrientedComplex) -> Fraction:
                 for lk in oriented_links(M, M.vertices).values()), Fraction(0))
 
 
-def f_sharp(f: LocalFunction, K: OrientedComplex) -> Dict[Simplex, Fraction]:
-    """The chain whose coefficient at each (dim K - 3)-simplex is f of its
-    oriented link; simplices carry their sorted-order reference orientation."""
-    m, n = K.dim, f.degree
-    if m < n:
-        raise DimensionMismatch("manifold dimension below function degree")
-    chain: Dict[Simplex, Fraction] = {}
-    for s in K.faces(m - n):
-        v = f.value(oriented_link_simplex(K, s))
-        if v:
-            chain[s] = v
-    return chain
-
-
-def chain_boundary(chain: Dict[Simplex, Fraction]) -> Dict[Simplex, Fraction]:
-    return _sparse_sum((s[:i] + s[i + 1:], q * (-1) ** i)
-                       for s, q in chain.items() if len(s) > 1
-                       for i in range(len(s)))
-
-
-def is_cycle_fsharp(f: LocalFunction, K: OrientedComplex) -> bool:
-    return not chain_boundary(f_sharp(f, K))
-
-
-def prop_identity_residual(f: LocalFunction, L1: OrientedComplex, m: Move) -> Fraction:
-    """Residual of d = delta s + s delta on one move between 2-spheres.
-
-    d f(e) is f(L2) - f(L1); (delta(s f))(e) sums f over the glued spheres
-    of the induced circle moves; (s(delta f))(e) sums f over the vertex
-    links of the glued sphere of the move itself.  The residual is zero for
-    every skew table exactly when the orientation conventions cohere.
-    """
+def identity_terms(L1: OrientedComplex, m: Move) -> list:
+    """The signed spheres of d = delta s + s delta on one move between
+    2-spheres: (d f)(e) = f(L2) - f(L1); (delta(s f))(e) sums f over the
+    glued spheres of the induced circle moves; (s(delta f))(e) sums f over
+    the vertex links of the glued sphere of the move itself.  Returns
+    (sign, sphere) pairs of the residual d - delta s - s delta, in that
+    order: L1, L2, each glued sphere, each link."""
     if L1.dim != 2:
         raise DimensionMismatch("identity checked on 2-sphere moves")
     L2 = apply_move(L1, m)
-    lhs = f.value(L2) - f.value(L1)
-    delta_sf = Fraction(0)
-    for rec in induced_vertex_moves(L1, m, L2):
-        delta_sf += f.value(build_L_beta(rec.link_before, rec.induced))
+    terms = [(-1, L1), (1, L2)]
+    terms += [(-1, build_L_beta(rec.link_before, rec.induced))
+              for rec in induced_vertex_moves(L1, m, L2)]
     L_beta = build_L_beta(L1, m)
-    s_delta_f = delta_eval(f, L_beta)
-    return lhs - delta_sf - s_delta_f
+    terms += [(-1, lk) for lk in oriented_links(L_beta, L_beta.vertices).values()]
+    return terms
+
+
+def prop_identity_residual(f: LocalFunction, L1: OrientedComplex, m: Move) -> Fraction:
+    """Residual of d = delta s + s delta on one move between 2-spheres; zero
+    for every skew table exactly when the orientation conventions cohere."""
+    return sum((sign * f.value(S) for sign, S in identity_terms(L1, m)),
+               Fraction(0))

@@ -43,7 +43,7 @@ def test_mirror_code_is_code_of_reverse():
     """The property ``EdgeKey.mirror`` relies on: a sphere's mirror code and
     mirror orbits are the code and orbits of its reverse, on symmetric and
     on chiral spheres."""
-    chiral = cx.oriented_link_simplex(cp2_9(), (1, 3))
+    chiral = cx.oriented_link(cx.oriented_link(cp2_9(), 1), 3)
     for L in (cx.boundary_simplex(3), oriented(OCTAHEDRON),
               oriented(STACKED6), chiral):
         d, rev = canon.sphere_data(L), canon.sphere_data(L.reverse())

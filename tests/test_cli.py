@@ -443,6 +443,8 @@ def test_malformed_chain_exits_one(capsys, tmp_path):
 BAD_SPHERE_CODES = {
     "empty": ("00", "ComplexError: empty facet list"),
     "trailing": ("0000", "ComplexError: trailing data"),
+    "truncated": ("0301", "ComplexError: truncated canonical code"),
+    "zero_length": ("", "ComplexError: truncated canonical code"),
     # the tetrahedron with vertex 1's rotation reversed
     "inconsistent": ("03010203030002030300010303000201",
                      "ComplexError: inconsistent rotations"),

@@ -143,8 +143,10 @@ def test_simplex_links_match_sorted_subsimplex_parity():
     for K in (cp2_9(), susp):
         for d in (1, 2):
             for s in sorted(K.faces(d)):
-                assert (cx.oriented_link_simplex(K, s)
-                        == _link_by_subsimplex_parity(K, s)), s
+                lk = K
+                for v in s:  # the links of its vertices in increasing order
+                    lk = cx.oriented_link(lk, v)
+                assert lk == _link_by_subsimplex_parity(K, s), s
 
 
 def test_two_sphere_euler_characteristic():

@@ -113,6 +113,15 @@ def test_apply_move_rejects_hand_built_moves(octahedron):
                 mv.Move((2, 1, 3), (7,))):    # unsorted facet
         with pytest.raises(mv.MoveNotAdmissible):
             mv.apply_move(octahedron, bad)
+    # a wrong cofactor that is an edge names the move, not the cofactor
+    # apply_move derived, (3, 4), which is no simplex of the octahedron
+    for bad in (mv.Move((1, 2), (3, 5)), mv.Move((1, 2), (5, 6))):
+        with pytest.raises(mv.MoveNotAdmissible) as err:
+            mv.apply_move(octahedron, bad)
+        assert str(err.value) == f"{bad} not admissible"
+    with pytest.raises(mv.MoveNotAdmissible) as err:
+        mv.apply_move(cx.boundary_simplex(3), mv.Move((0, 1), (2, 3)))
+    assert str(err.value) == "cofactor (2, 3) already a simplex"
 
 
 def test_links_read_together_match_one_by_one(octahedron):
@@ -122,7 +131,6 @@ def test_links_read_together_match_one_by_one(octahedron):
         assert list(links) == list(L.vertices)
         for v in L.vertices:
             assert links[v] == cx.oriented_link(L, v)
-            assert links[v] == cx.oriented_link_simplex(L, (v,))
 
 
 def test_subdivision_counts_and_euler():

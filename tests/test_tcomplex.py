@@ -9,7 +9,7 @@ from plp1 import moves as mv
 from plp1 import tcomplex as tc
 from plp1.selfcheck import random_skew_table, random_walk
 
-from conftest import STACKED6, oriented
+from conftest import oriented
 from isomorphism import iso_generic
 
 
@@ -85,42 +85,6 @@ def test_dimension_checks(pool):
         tc.delta2_eval(f, cx.boundary_simplex(4))
 
 
-def test_f_sharp_zero_function_is_cycle():
-    f = tc.LocalFunction()
-    K = cx.suspension(cx.suspension(oriented(STACKED6)))
-    assert K.dim == 4
-    assert tc.f_sharp(f, K) == {}
-    assert tc.is_cycle_fsharp(f, K)
-
-
-def test_f_sharp_on_equal_dimension_is_delta_sum(pool):
-    """For a 3-sphere the chain lives on vertices and its total equals the
-    link sum."""
-    f = random_skew_table(pool, random.Random(5))
-    stacked = oriented(STACKED6)
-    m = mv.make_move(stacked, (1, 3))
-    L3 = mv.build_L_beta(stacked, m)
-    chain = tc.f_sharp(f, L3)
-    assert sum(chain.values(), Fraction(0)) == tc.delta_eval(f, L3)
-
-
-def test_f_sharp_random_table_fails_cycle_on_some_4_sphere():
-    """A generic table is not a local formula: its chain on some 4-sphere
-    has nonzero boundary."""
-    rng = random.Random(6)
-    found = False
-    for trial in range(12):
-        L3 = random_walk(cx.boundary_simplex(4), 2 + trial % 4, rng,
-                         max_vertices=8)
-        K = cx.suspension(L3)
-        links = [cx.oriented_link_simplex(K, s) for s in K.faces(1)]
-        f = random_skew_table(links[::2], rng)
-        if not tc.is_cycle_fsharp(f, K):
-            found = True
-            break
-    assert found
-
-
 def test_homotopy_identity_holds(pool):
     rng = random.Random(7)
     for _ in range(30):
@@ -132,6 +96,9 @@ def test_homotopy_identity_holds(pool):
             involved.append(mv.build_L_beta(rec.link_before, rec.induced))
         L_beta = mv.build_L_beta(L, move)
         involved += [cx.oriented_link(L_beta, v) for v in L_beta.vertices]
+        terms = tc.identity_terms(L, move)
+        assert [S for _, S in terms] == involved
+        assert [sign for sign, _ in terms] == [-1, 1] + [-1] * (len(involved) - 2)
         f = random_skew_table(involved, rng)
         assert tc.prop_identity_residual(f, L, move) == 0
 
