@@ -5,7 +5,8 @@ missing simplex d2 replaces star(d1) = d1 * boundary(d2) with
 boundary(d1) * d2.  A move associated with a facet is a stellar
 subdivision (d2 is one fresh vertex); a move associated with a vertex is
 the inverse subdivision.  Orientations propagate so that unchanged facets
-keep their signs.
+keep their signs.  ``FaceIndex`` keeps the faces of a sphere, with their
+stars, up to date move by move; ``admissible_moves`` is its one-shot form.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import json
 from typing import Iterable, NamedTuple, Optional
 
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
-                        Simplex, orient, oriented_link, oriented_links)
+                        Simplex, carry_links, orient, oriented_link,
+                        oriented_links)
 
 
 class MoveNotAdmissible(ComplexError):
@@ -78,55 +80,154 @@ def make_move(L: OrientedComplex, delta1: Iterable[int],
     return Move(d1, _cofactor(d1, star, n, L.has_simplex))
 
 
-def admissible_moves(L: OrientedComplex, sizes: Optional[Iterable[int]] = None) -> list:
-    """The admissible moves whose delta1 has one of the given ``sizes`` (by
-    default all, facet subdivisions included with the fresh vertex max+1),
-    in a deterministic order: faces in order of first appearance over the
-    sorted facets, smaller faces of a facet first.  The moves of some sizes
-    are the full list filtered to those sizes, in the same order; only the
-    faces of those sizes and of their cofactor sizes n+2-k are indexed."""
-    n = L.dim
-    sizes = set(range(1, n + 2) if sizes is None else sizes)
-    # the presence check of a k-face's cofactor reads the faces of size n+2-k
-    indexed = sorted(sizes | {n + 2 - k for k in sizes if k <= n})
-    # every indexed face -> the facets containing it
-    stars: dict = {}
-    for f in sorted(L.facets):
-        for k in indexed:
-            for d1 in itertools.combinations(f, k):
-                stars.setdefault(d1, []).append(f)
-    nv = max(L.vertices) + 1 if n + 1 in sizes else None
-    out = []
-    for d1, star in stars.items():
-        k = len(d1)
-        if k not in sizes:
-            continue
-        if k == n + 1:
-            out.append(Move(d1, (nv,)))
-        # the size test of _cofactor, made here so most faces raise nothing
-        elif len(star) == n + 2 - k:
-            try:
-                out.append(Move(d1, _cofactor(d1, star, n, stars.__contains__)))
-            except MoveNotAdmissible:
-                pass
-    return out
+def _admit(m: Move, star, n: int, present: bool, facets: int) -> None:
+    """Raise MoveNotAdmissible unless ``m`` is the move ``make_move`` builds
+    for its delta1 and keeps one of the ``facets`` facets of the n-sphere;
+    ``star`` holds the facets on delta1, ``present`` says if delta2 is."""
+    d1, d2 = m
+    if len(d1) == n + 1:
+        admissible = d1 in star and len(d2) == 1 and not present
+    else:
+        # ``present`` is about m.delta2: a derived cofactor that differs from
+        # it fails the comparison, and the message names the move
+        admissible = (d1 == tuple(sorted(d1))
+                      and _cofactor(d1, star, n,
+                                    lambda c: present and c == d2) == d2)
+    if not admissible:
+        raise MoveNotAdmissible(f"{m} not admissible")
+    if len(star) == facets:
+        raise MoveNotAdmissible("move would replace the whole sphere")
 
 
-def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
-    """(L minus d1*boundary(d2)) union (boundary(d1)*d2), orientation
-    propagated so surviving facets keep their signs.
+def _star_signs(d1: Simplex, d2: Simplex, signs) -> dict:
+    """The signed facets boundary(d1) * d2 that replace star(d1) =
+    d1 * boundary(d2), whose signs ``signs`` holds, so that surviving facets
+    keep their signs.
 
     Each new facet G = (d1 - a) + d2 shares the ridge (d1 - a) + (d2 - b)
     with the removed facet F = d1 + (d2 - b) for every b in d2, and takes
     over F's neighbour across it, so sign(G) = sign(F) * (-1)**(i + j) with
     a at index i of F and b at index j of G.  The choices of b must agree.
+    """
+    closed = set(d1) | set(d2)
+    out = {}
+    for a in d1:
+        g = tuple(sorted(closed - {a}))
+        want = None
+        for b in d2:
+            f = tuple(sorted(closed - {b}))
+            s = signs[f] * (-1) ** (f.index(a) + g.index(b))
+            if want is None:
+                want = s
+            elif s != want:
+                raise NonOrientable(f"parity conflict in the star of {d1}")
+        out[g] = want
+    return out
+
+
+class FaceIndex:
+    """Every face of an n-sphere with the facets that contain it, which
+    ``apply`` updates in the star of the move alone.  The link test of a
+    face is kept until its star changes; whether its cofactor is present is
+    read on every query.  Answers ``dim``, ``vertices`` and ``facets``."""
+
+    def __init__(self, L: OrientedComplex):
+        self.dim = L.dim
+        self.signs: dict = {}
+        self._stars = {k: {} for k in range(1, L.dim + 2)}  # by face size
+        self._links: dict = {}  # face -> its cofactor, or () for none
+        self._enter(L.signs)
+
+    @property
+    def vertices(self) -> tuple:
+        return tuple(sorted(v for (v,) in self._stars[1]))
+
+    @property
+    def facets(self):
+        return self.signs.keys()
+
+    def _enter(self, signs) -> None:
+        # drops no link test: a face of a new facet lies in a removed facet,
+        # whose faces ``apply`` has dropped, or contains the move's cofactor,
+        # which was absent, and so is new
+        for f, sign in signs.items():
+            self.signs[f] = sign
+            for k in range(1, len(f) + 1):
+                by_face = self._stars[k]
+                for g in itertools.combinations(f, k):
+                    cofaces = by_face.get(g)
+                    if cofaces is None:
+                        by_face[g] = {f}
+                    else:
+                        cofaces.add(f)
+
+    def moves(self, sizes: Optional[Iterable[int]] = None) -> list:
+        """The admissible moves whose delta1 has one of the given ``sizes``
+        (by default all, facet subdivisions included with the fresh vertex
+        max+1), in a deterministic order: faces in order of the first
+        sorted facet that contains them, then by size, then by face."""
+        n = self.dim
+        sizes = set(range(1, n + 2) if sizes is None else sizes)
+        if not sizes <= set(range(1, n + 2)):
+            raise ValueError(f"face sizes {sorted(sizes)} outside 1..{n + 1}")
+        keyed = []
+        for k in sizes:
+            if k == n + 1:
+                keyed += [(f, k, f, None) for f in self.signs]
+                continue
+            # the size test of _cofactor, made here so most faces raise nothing
+            want = n + 2 - k
+            for d1, star in self._stars[k].items():
+                if len(star) == want:
+                    d2 = self._links.get(d1)
+                    if d2 is None:
+                        try:
+                            d2 = _cofactor(d1, star, n, lambda c: False)
+                        except MoveNotAdmissible:
+                            d2 = ()
+                        self._links[d1] = d2
+                    if d2 and d2 not in self._stars[len(d2)]:
+                        keyed.append((min(star), k, d1, d2))
+        keyed.sort()
+        nv = (max(self._stars[1])[0] + 1,)
+        return [Move(d1, d2 or nv) for _, _, d1, d2 in keyed]
+
+    def apply(self, m: Move) -> None:
+        """Apply the move in place, with the checks of ``apply_move``."""
+        stars = self._stars
+        star = stars.get(len(m.delta1), {}).get(m.delta1, ())
+        present = tuple(sorted(m.delta2)) in stars.get(len(m.delta2), {})
+        _admit(m, star, self.dim, present, len(self.signs))
+        new = _star_signs(m.delta1, m.delta2, self.signs)
+        for f in list(star):
+            del self.signs[f]
+            for k in range(1, len(f) + 1):
+                by_face = stars[k]
+                for g in itertools.combinations(f, k):
+                    cofaces = by_face[g]
+                    cofaces.discard(f)
+                    if not cofaces:
+                        del by_face[g]
+                    self._links.pop(g, None)
+        self._enter(new)
+
+
+def admissible_moves(L: OrientedComplex, sizes: Optional[Iterable[int]] = None) -> list:
+    """The admissible moves of L whose delta1 has one of the given
+    ``sizes`` (see ``FaceIndex.moves``); raises ValueError for a size
+    outside 1..dim+1."""
+    return FaceIndex(L).moves(sizes)
+
+
+def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
+    """(L minus d1*boundary(d2)) union (boundary(d1)*d2), orientation
+    propagated so surviving facets keep their signs (``_star_signs``).
 
     The move must be the one ``make_move`` builds for its delta1 (sorted,
     with this delta2); the same facet pass that drops the star of delta1
     checks that, so admissibility costs no extra scan.
     """
-    d1, d2 = m.delta1, m.delta2
-    s1, s2 = set(d1), set(d2)
+    s1, s2 = set(m.delta1), set(m.delta2)
     signs, star = {}, []
     present = False
     for f, s in L.signs.items():
@@ -135,30 +236,8 @@ def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
         else:
             signs[f] = s
         present = present or s2.issubset(f)
-    if len(d1) == L.dim + 1:
-        admissible = d1 in L.signs and len(d2) == 1 and not present
-    else:
-        # ``present`` is about m.delta2: a derived cofactor that differs from
-        # it fails the comparison, and the message names the move
-        admissible = (d1 == tuple(sorted(d1))
-                      and _cofactor(d1, star, L.dim,
-                                    lambda c: present and c == d2) == d2)
-    if not admissible:
-        raise MoveNotAdmissible(f"{m} not admissible")
-    if not signs:
-        raise MoveNotAdmissible("move would replace the whole sphere")
-    closed = s1 | s2
-    for a in d1:
-        g = tuple(sorted(closed - {a}))
-        want = None
-        for b in d2:
-            f = tuple(sorted(closed - {b}))
-            s = L.signs[f] * (-1) ** (f.index(a) + g.index(b))
-            if want is None:
-                want = s
-            elif s != want:
-                raise NonOrientable(f"parity conflict in the star of {d1}")
-        signs[g] = want
+    _admit(m, star, L.dim, present, len(L.signs))
+    signs.update(_star_signs(m.delta1, m.delta2, L.signs))
     return OrientedComplex(signs)
 
 
@@ -170,24 +249,30 @@ class InducedMoveRecord(NamedTuple):
 
 
 def induced_vertex_moves(K: OrientedComplex, m: Move,
-                         K2: Optional[OrientedComplex] = None) -> list:
+                         K2: Optional[OrientedComplex] = None,
+                         links: Optional[dict] = None) -> list:
     """Per-vertex induced moves of a bistellar move, validated by replay.
 
     Every vertex of the closed support present both before and after is
     diffed; the created / destroyed vertex is excluded by definition.
-    ``K2``, when given, is ``apply_move(K, m)``.
+    ``K2``, when given, is ``apply_move(K, m)``.  ``links``, when given,
+    maps every vertex of K to its link in K, and is carried in place to the
+    links of K2 (``carry_links``): only the vertices of the closed support
+    change, from the facets the move exchanges, signed as in K2.
     """
     if K2 is None:
         K2 = apply_move(K, m)
     d1, d2 = set(m.delta1), set(m.delta2)
-    excluded = set()
-    if len(m.delta2) == 1:
-        excluded.add(m.delta2[0])
-    if len(m.delta1) == 1:
-        excluded.add(m.delta1[0])
-    support = sorted((d1 | d2) - excluded)
-    links_before = oriented_links(K, support)
-    links_after = oriented_links(K2, support)
+    closed = d1 | d2
+    created = m.delta2[0] if len(m.delta2) == 1 else None
+    destroyed = m.delta1[0] if len(m.delta1) == 1 else None
+    if links is None:
+        links = oriented_links(K, sorted(closed - {created}))
+    support = sorted(closed - {created, destroyed})
+    links_before = {v: links[v] for v in support}
+    carry_links(links, [tuple(sorted(closed - {b})) for b in m.delta2],
+                {g: K2.signs[g] for g in
+                 (tuple(sorted(closed - {a})) for a in m.delta1)})
     records = []
     for v in support:
         if v in d1:
@@ -195,7 +280,7 @@ def induced_vertex_moves(K: OrientedComplex, m: Move,
         else:
             ind = Move(m.delta1, tuple(sorted(d2 - {v})))
         before = links_before[v]
-        after = links_after[v]
+        after = links[v]
         if before == after:
             continue
         if not ind.delta1:

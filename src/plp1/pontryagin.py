@@ -191,7 +191,9 @@ def assemble_p1_cycle(K: Manifold4Input,
 
     Reductions run link -> simplex boundary; the sums of the formula run the
     other way, so each reduction is replayed forward once and its steps are
-    walked last to first, each as the inverse move.  The induced moves on
+    walked last to first, each as the inverse move.  The links of the
+    simplex boundary a reduction ends on are read once and carried back
+    through the walk by ``induced_vertex_moves``.  The induced moves on
     the links of the intermediate 3-spheres that are edges of the graph of
     2-spheres (``edge_of_move`` is not None) make up the cycle.  The
     registry keeps the first link seen per code, in sorted vertex order.
@@ -208,8 +210,12 @@ def assemble_p1_cycle(K: Manifold4Input,
         if seq.initial != links[v]:
             raise ComplexError(f"reduction for vertex {v} starts elsewhere")
         edges, firsts = [], []
-        for before, m, after in reversed(list(seq.replay())):
-            for rec in induced_vertex_moves(after, m.inverse(), before):
+        steps = list(seq.replay())
+        state = steps[-1][2] if steps else seq.initial
+        carried = oriented_links(state, state.vertices)
+        for before, m, after in reversed(steps):
+            for rec in induced_vertex_moves(after, m.inverse(), before,
+                                            carried):
                 e = edge_of_move(rec.link_before, rec.induced,
                                  L2=rec.link_after)
                 if e is None:

@@ -2,7 +2,8 @@
 
 Greedy descent on the lexicographic objective (vertex count, facet count)
 with Metropolis-accepted uphill moves when stuck, restarted from derived
-seeds.  A step scans only the downhill move kinds, vertex removals first
+seeds.  A run keeps one ``FaceIndex`` of its sphere and applies each
+move to it.  A step scans only the downhill move kinds, vertex removals first
 and then, on a 3-sphere, the edge moves that drop a facet, and picks at
 random among the first kind it finds.  Only a step with no downhill move
 scans every admissible move, for a random pick tested by Metropolis.
@@ -16,7 +17,7 @@ import math
 import random
 
 from .complexes import ComplexError, OrientedComplex
-from .moves import Move, MoveSequence, admissible_moves, apply_move
+from .moves import FaceIndex, Move, MoveSequence
 
 
 class BudgetExhausted(ComplexError):
@@ -45,14 +46,15 @@ class ReductionConfig:
         self.restarts = restarts
 
 
-def _is_target(L: OrientedComplex) -> bool:
-    """The boundary of the (n+1)-simplex: n+2 vertices span exactly n+2
-    distinct n-simplices, so n+2 facets on them are all of them."""
+def _is_target(L) -> bool:
+    """L (a complex or its FaceIndex) is the boundary of the (n+1)-simplex:
+    n+2 vertices span exactly n+2 distinct n-simplices, so n+2 facets on
+    them are all of them."""
     n = L.dim
     return len(L.vertices) == n + 2 and len(L.facets) == n + 2
 
 
-def _objective(L: OrientedComplex) -> int:
+def _objective(L) -> int:
     return WEIGHT_VERTICES * len(L.vertices) + WEIGHT_FACETS * len(L.facets)
 
 
@@ -66,7 +68,7 @@ def _change(k: int, n: int) -> int:
 
 def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
     rng = random.Random(seed)
-    state = L
+    state = FaceIndex(L)
     moves = []
     temp = TEMP_INIT
     stagnant = 0
@@ -79,12 +81,12 @@ def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
         if _is_target(state):
             return moves
         for k in downhill:
-            cands = admissible_moves(state, (k,))
+            cands = state.moves((k,))
             if cands:
                 pick = rng.choice(cands)
                 break
         else:
-            cands = admissible_moves(state)
+            cands = state.moves()
             pick = cands[rng.randrange(len(cands))]
             d = _change(len(pick.delta1), n)
             if d > 0 and rng.random() >= math.exp(-d / max(temp, 1e-9)):
@@ -93,7 +95,7 @@ def _one_run(L: OrientedComplex, cfg: ReductionConfig, seed: int):
             if len(pick.delta2) == 1:
                 pick = Move(pick.delta1, (fresh,))
                 fresh += 1
-            state = apply_move(state, pick)
+            state.apply(pick)
             moves.append(pick)
         temp *= COOLING
         obj = _objective(state)

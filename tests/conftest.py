@@ -91,6 +91,11 @@ def subdivided(K: OrientedComplex, k: int, seed: int = 0) -> OrientedComplex:
     return K
 
 
+def euler_characteristic(L: OrientedComplex) -> int:
+    """The alternating sum of the face counts of L."""
+    return sum((-1) ** d * len(L.faces(d)) for d in range(L.dim + 1))
+
+
 def write_facets(path, K: OrientedComplex) -> None:
     """K as an ``orient=explicit`` facet file, a negative facet written
     with its last two vertices swapped."""

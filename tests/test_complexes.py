@@ -6,7 +6,7 @@ import pytest
 from plp1 import complexes as cx
 from plp1.fixtures import cp2_9, link_L
 
-from conftest import BIPYRAMID, OCTAHEDRON, RP2_6, oriented
+from conftest import BIPYRAMID, OCTAHEDRON, RP2_6, euler_characteristic, oriented
 
 
 def test_boundary_simplex_counts():
@@ -151,7 +151,7 @@ def test_simplex_links_match_sorted_subsimplex_parity():
 
 def test_two_sphere_euler_characteristic():
     for facets in (OCTAHEDRON, BIPYRAMID):
-        assert oriented(facets).euler_characteristic() == 2
+        assert euler_characteristic(oriented(facets)) == 2
 
 
 def test_facet_text_round_trip(tmp_path):

@@ -12,7 +12,8 @@ from plp1 import moves as mv
 from plp1 import reduction as red
 from plp1.fixtures import cp2_9, link_L, sequence_9
 
-from conftest import BIPYRAMID, OCTAHEDRON, STACKED6, oriented, subdivided
+from conftest import (BIPYRAMID, OCTAHEDRON, STACKED6, euler_characteristic,
+                      oriented, subdivided)
 from isomorphism import iso_generic
 
 
@@ -103,6 +104,83 @@ def test_apply_move_accepts_exactly_make_move(octahedron, stacked6):
             L = mv.apply_move(L, rng.choice(reference))
 
 
+def test_admissible_moves_rejects_sizes_outside_the_faces():
+    for sizes in [(0,), (4,), (1, 4), (-1, 2)]:
+        with pytest.raises(ValueError):
+            mv.admissible_moves(cx.boundary_simplex(3), sizes)
+
+
+def _assert_index_is_fresh(index, L):
+    """The index equals one built on L: signs, stars and counts, and every
+    candidate list is the reference scan filtered to its sizes."""
+    fresh = mv.FaceIndex(L)
+    assert index.signs == L.signs and index._stars == fresh._stars
+    assert index.vertices == L.vertices and len(index.facets) == len(L.facets)
+    reference = _admissible_by_face(L)
+    kinds = range(1, L.dim + 2)
+    for r in kinds:
+        for sizes in itertools.combinations(kinds, r):
+            assert index.moves(sizes) == fresh.moves(sizes) == [
+                m for m in reference if len(m.delta1) in sizes]
+
+
+def test_face_index_follows_random_walks(octahedron, stacked6):
+    """Updated move by move along seeded walks on 2- and 3-spheres, with
+    every candidate list read (and its link tests cached) at every state."""
+    rng = random.Random(13)
+    K = cp2_9()
+    starts = [octahedron, stacked6, link_L()] + [
+        cx.oriented_link(K, v) for v in (1, 5, 9)]
+    for L in starts:
+        index = mv.FaceIndex(L)
+        for _ in range(10):
+            _assert_index_is_fresh(index, L)
+            m = rng.choice(index.moves())
+            index.apply(m)
+            L = mv.apply_move(L, m)
+        _assert_index_is_fresh(index, L)
+
+
+def test_face_index_drops_a_stale_link_test(octahedron):
+    index = mv.FaceIndex(octahedron)
+    assert mv.Move((1, 2), (3, 4)) in index.moves((2,))
+    # the subdivision of (1, 2, 3) changes the star of the edge (1, 2)
+    index.apply(mv.Move((1, 2, 3), (7,)))
+    edges = index.moves((2,))
+    assert mv.Move((1, 2), (4, 7)) in edges
+    assert mv.Move((1, 2), (3, 4)) not in edges
+
+
+def test_face_index_applies_with_the_checks_of_apply_move(octahedron, stacked6):
+    """Every candidate move, hand-built bad moves, an inconsistent star and
+    a move on all facets: FaceIndex.apply raises what apply_move raises,
+    with the same message, and otherwise holds apply_move's signs."""
+    flipped = dict(octahedron.signs)
+    flipped[1, 2, 3] = -flipped[1, 2, 3]
+    cases = [(L, m) for L in (octahedron, stacked6, cx.oriented_link(cp2_9(), 1))
+             for m in sorted(_candidate_moves(L))]
+    cases += [(octahedron, m) for m in (
+        mv.Move((1, 2), (3, 5)), mv.Move((1, 2), (4, 3)), mv.Move((1, 2, 3), (6,)),
+        mv.Move((2, 1), (3, 4)), mv.Move((2, 1, 3), (7,)), mv.Move((1, 6), (2, 3)))]
+    cases += [(cx.OrientedComplex(flipped), mv.Move((1, 2), (3, 4))),
+              (cx.OrientedComplex({(0, 1, 2): 1, (0, 1, 3): 1}),
+               mv.Move((0, 1), (2, 3)))]
+    raised = set()
+    for L, m in cases:
+        index = mv.FaceIndex(L)
+        try:
+            want = mv.apply_move(L, m)
+        except cx.ComplexError as exc:
+            with pytest.raises(type(exc)) as err:
+                index.apply(m)
+            assert str(err.value) == str(exc), m
+            raised.add(type(exc))
+        else:
+            index.apply(m)
+            assert index.signs == want.signs, m
+    assert raised == {mv.MoveNotAdmissible, cx.NonOrientable}
+
+
 def test_apply_move_rejects_hand_built_moves(octahedron):
     assert mv.make_move(octahedron, (1, 2)) == mv.Move((1, 2), (3, 4))
     mv.apply_move(octahedron, mv.Move((1, 2, 3), (7,)))
@@ -138,13 +216,13 @@ def test_subdivision_counts_and_euler():
     m = mv.make_move(d3, (0, 1, 2))
     L2 = mv.apply_move(d3, m)
     assert len(L2.facets) == 6 and len(L2.vertices) == 5
-    assert L2.euler_characteristic() == 2
+    assert euler_characteristic(L2) == 2
 
 
 def test_euler_preserved_by_all_moves(octahedron):
     for m in mv.admissible_moves(octahedron):
         out = mv.apply_move(octahedron, m)
-        assert out.euler_characteristic() == 2
+        assert euler_characteristic(out) == 2
 
 
 def test_apply_then_inverse_is_identity(octahedron):

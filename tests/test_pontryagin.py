@@ -8,6 +8,7 @@ from plp1 import complexes as cx
 from plp1 import fixtures as fx
 from plp1 import gamma2 as g2
 from plp1 import pontryagin as pt
+from plp1 import moves as mv
 from plp1.moves import Move, MoveSequence
 from plp1.reduction import ReductionConfig
 from plp1.solver import evaluate_c0
@@ -246,3 +247,38 @@ def test_small_inputs_never_fork(monkeypatch):
         K = pt.Manifold4Input(M)
         report = pt.verify_4manifold(K)
         pt.assemble_p1_cycle(K, report.links)
+
+
+@pytest.mark.parametrize("subdivisions", [0, 2])
+def test_walk_carries_the_links_of_every_state(monkeypatch, subdivisions):
+    """In every vertex walk of ``assemble_p1_cycle`` the carried links are
+    the links of the state before and after each step, and the records are
+    those read from whole links."""
+    K = pt.Manifold4Input(subdivided(fx.cp2_9(), subdivisions))
+    report = pt.verify_4manifold(K)
+    steps = []
+
+    def checked(K1, m, K2, links):
+        assert links == cx.oriented_links(K1, K1.vertices)
+        records = mv.induced_vertex_moves(K1, m, K2, links)
+        assert links == cx.oriented_links(K2, K2.vertices)
+        assert records == mv.induced_vertex_moves(K1, m, K2)
+        steps.append(m)
+        return records
+
+    monkeypatch.setattr(pt, "induced_vertex_moves", checked)
+    pt.assemble_p1_cycle(K, report.links)
+    # the inputs are below the split size, so every step ran here
+    assert len(steps) == sum(map(len, report.links.values())) > 0
+
+
+def test_flipped_sign_in_the_moved_state_is_no_induced_move():
+    L = fx.link_L()
+    m = mv.make_move(L, (1, 3))
+    L2 = mv.apply_move(L, m)
+    for g in set(L2.facets) - set(L.facets):
+        signs = dict(L2.signs)
+        signs[g] = -signs[g]
+        for links in (None, cx.oriented_links(L, L.vertices)):
+            with pytest.raises(mv.InducedDiffNotABistellarMove):
+                mv.induced_vertex_moves(L, m, cx.OrientedComplex(signs), links)

@@ -10,7 +10,7 @@ from plp1 import reduction as red
 from plp1.fixtures import cp2_9, link_L, sequence_9
 from plp1.selfcheck import random_walk
 
-from conftest import product_sphere_circle
+from conftest import euler_characteristic, product_sphere_circle
 from isomorphism import iso_generic
 
 
@@ -67,7 +67,7 @@ def test_verify_sequence_rejects_foreign_initial():
 def test_non_sphere_exhausts_budget():
     sxs = product_sphere_circle(3)
     cx.require_closed(sxs)
-    assert sxs.euler_characteristic() == 0
+    assert euler_characteristic(sxs) == 0
     cfg = red.ReductionConfig(seed=0, max_steps=150, restarts=2)
     with pytest.raises(red.BudgetExhausted):
         red.reduce_sphere(sxs, cfg)
