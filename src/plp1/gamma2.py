@@ -62,9 +62,8 @@ def endpoint(L: OrientedComplex, s) -> EndPoint:
     return EndPoint(d.code, d.orbit(s), d.mirror_code, d.orbit(s, mirror=True))
 
 
-def edge_of_move(L: OrientedComplex, m: Move,
-                 L2: Optional[OrientedComplex] = None):
-    """(EdgeKey, sign) of an essential move, or None when inessential.
+def edge_of_move(L: OrientedComplex, m: Move, L2: OrientedComplex):
+    """(EdgeKey, sign) of an essential move L -> L2, or None when inessential.
 
     This is the one rule for essential moves.  A move is inessential when
     its two endpoints agree: the spheres before and after have the same
@@ -74,8 +73,6 @@ def edge_of_move(L: OrientedComplex, m: Move,
     The sign is +1 when the move's direction is the stored canonical one;
     the inverse move returns the same key with the opposite sign.
     """
-    if L2 is None:
-        L2 = apply_move(L, m)
     src = endpoint(L, m.delta1)
     dst = endpoint(L2, m.delta2)
     if src == dst:
@@ -260,7 +257,7 @@ def loop_to_chain(L0: OrientedComplex, moves: Iterable[Move],
                 nxt = apply_move(state, m)
             except MoveNotAdmissible as exc:
                 raise MoveNotAdmissible(f"step {j}: {exc}") from exc
-            step = steps[state, m] = nxt, edge_of_move(state, m, L2=nxt)
+            step = steps[state, m] = nxt, edge_of_move(state, m, nxt)
         state, e = step
         if e is not None:
             edges.append(e)

@@ -15,8 +15,7 @@ import json
 from typing import Iterable, NamedTuple, Optional
 
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
-                        Simplex, carry_links, orient, oriented_link,
-                        oriented_links)
+                        Simplex, carry_links)
 
 
 class MoveNotAdmissible(ComplexError):
@@ -248,26 +247,19 @@ class InducedMoveRecord(NamedTuple):
     link_after: OrientedComplex
 
 
-def induced_vertex_moves(K: OrientedComplex, m: Move,
-                         K2: Optional[OrientedComplex] = None,
-                         links: Optional[dict] = None) -> list:
-    """Per-vertex induced moves of a bistellar move, validated by replay.
+def induced_vertex_moves(links: dict, m: Move, K2: OrientedComplex) -> list:
+    """Per-vertex induced moves of a move K -> K2, validated by replay.
 
-    Every vertex of the closed support present both before and after is
-    diffed; the created / destroyed vertex is excluded by definition.
-    ``K2``, when given, is ``apply_move(K, m)``.  ``links``, when given,
-    maps every vertex of K to its link in K, and is carried in place to the
-    links of K2 (``carry_links``): only the vertices of the closed support
-    change, from the facets the move exchanges, signed as in K2.
+    ``links`` maps every vertex of K to its link in K, and is carried in
+    place to the links of K2 (``carry_links``): only the vertices of the
+    closed support change, from the facets the move exchanges, signed as in
+    K2.  Every vertex of the closed support present both before and after
+    is diffed; the created / destroyed vertex is excluded by definition.
     """
-    if K2 is None:
-        K2 = apply_move(K, m)
     d1, d2 = set(m.delta1), set(m.delta2)
     closed = d1 | d2
     created = m.delta2[0] if len(m.delta2) == 1 else None
     destroyed = m.delta1[0] if len(m.delta1) == 1 else None
-    if links is None:
-        links = oriented_links(K, sorted(closed - {created}))
     support = sorted(closed - {created, destroyed})
     links_before = {v: links[v] for v in support}
     carry_links(links, [tuple(sorted(closed - {b})) for b in m.delta2],
@@ -290,17 +282,6 @@ def induced_vertex_moves(K: OrientedComplex, m: Move,
                 f"link diff at vertex {v} is not the expected move")
         records.append(InducedMoveRecord(v, ind, before, after))
     return records
-
-
-def build_L_beta(L1: OrientedComplex, m: Move) -> OrientedComplex:
-    """The sphere C L1 union C L2 union (d1 * d2) of a move, oriented so the
-    induced orientation of the link of the second cone vertex is L2."""
-    L2 = apply_move(L1, m)
-    top = max(max(L1.vertices), max(L2.vertices))
-    u1, u2 = top + 1, top + 2
-    out = orient([f + (u1,) for f in L1.facets]
-                 + [f + (u2,) for f in L2.facets] + [m.delta1 + m.delta2])
-    return out if oriented_link(out, u2) == L2 else out.reverse()
 
 
 class MoveSequence:

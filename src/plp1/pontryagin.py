@@ -214,10 +214,8 @@ def assemble_p1_cycle(K: Manifold4Input,
         state = steps[-1][2] if steps else seq.initial
         carried = oriented_links(state, state.vertices)
         for before, m, after in reversed(steps):
-            for rec in induced_vertex_moves(after, m.inverse(), before,
-                                            carried):
-                e = edge_of_move(rec.link_before, rec.induced,
-                                 L2=rec.link_after)
+            for rec in induced_vertex_moves(carried, m.inverse(), before):
+                e = edge_of_move(rec.link_before, rec.induced, rec.link_after)
                 if e is None:
                     continue
                 edges.append(e)

@@ -37,10 +37,11 @@ class NoDecompositionWithinBudget(ComplexError):
 CANDIDATE_MAX = 200_000
 
 
-# The primes of the modular elimination, tried in order.  Both are prime
-# (tests/test_solver.py checks it), and their reconstruction bounds admit
-# every fraction whose numerator and denominator are below 2**30.
-PRIMES = (2**61 - 1, 2**62 - 57)
+# The primes of the modular elimination, tried in order; all are prime
+# (tests/test_solver.py checks it).  The two word-size ones admit every
+# fraction whose numerator and denominator are below 2**30; the Mersenne
+# prime 2**521 - 1, tried only after both fail, admits those below 2**259.
+PRIMES = (2**61 - 1, 2**62 - 57, 2**521 - 1)
 
 
 class UnluckyPrime(ComplexError):
@@ -162,7 +163,7 @@ def _over_primes(solve):
         found_none = True
     if found_none:
         return None
-    raise ComplexError(f"no prime of {PRIMES} gives an exact result")
+    raise ComplexError("no prime in PRIMES gives an exact result")
 
 
 class DecompositionCertificate(NamedTuple):
@@ -264,10 +265,7 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
         nxt: list = []
         for L in frontier:
             for m in admissible_moves(L):
-                try:
-                    L2 = apply_move(L, m)
-                except ComplexError:
-                    continue
+                L2 = apply_move(L, m)
                 code = canonical.sphere_data(L2).code
                 if code not in anchors:
                     anchors[code] = L2

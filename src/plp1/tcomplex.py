@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import Dict, Iterable
 
 from . import canonical
-from .complexes import ComplexError, OrientedComplex, oriented_links
-from .moves import Move, apply_move, build_L_beta, induced_vertex_moves
+from .complexes import (ComplexError, OrientedComplex, orient, oriented_link,
+                        oriented_links)
+from .moves import Move, apply_move, induced_vertex_moves
 
 
 class DimensionMismatch(ComplexError):
@@ -77,6 +78,17 @@ def delta2_eval(f: LocalFunction, M: OrientedComplex) -> Fraction:
                 for lk in oriented_links(M, M.vertices).values()), Fraction(0))
 
 
+def build_L_beta(L1: OrientedComplex, m: Move) -> OrientedComplex:
+    """The sphere C L1 union C L2 union (d1 * d2) of a move, oriented so the
+    induced orientation of the link of the second cone vertex is L2."""
+    L2 = apply_move(L1, m)
+    top = max(max(L1.vertices), max(L2.vertices))
+    u1, u2 = top + 1, top + 2
+    out = orient([f + (u1,) for f in L1.facets]
+                 + [f + (u2,) for f in L2.facets] + [m.delta1 + m.delta2])
+    return out if oriented_link(out, u2) == L2 else out.reverse()
+
+
 def identity_terms(L1: OrientedComplex, m: Move) -> list:
     """The signed spheres of d = delta s + s delta on one move between
     2-spheres: (d f)(e) = f(L2) - f(L1); (delta(s f))(e) sums f over the
@@ -87,9 +99,10 @@ def identity_terms(L1: OrientedComplex, m: Move) -> list:
     if L1.dim != 2:
         raise DimensionMismatch("identity checked on 2-sphere moves")
     L2 = apply_move(L1, m)
+    links = oriented_links(L1, L1.vertices)
     terms = [(-1, L1), (1, L2)]
     terms += [(-1, build_L_beta(rec.link_before, rec.induced))
-              for rec in induced_vertex_moves(L1, m, L2)]
+              for rec in induced_vertex_moves(links, m, L2)]
     L_beta = build_L_beta(L1, m)
     terms += [(-1, lk) for lk in oriented_links(L_beta, L_beta.vertices).values()]
     return terms

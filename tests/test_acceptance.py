@@ -132,7 +132,7 @@ def test_criterion_10_negative_control():
     residuals, mutated = [], []
     for f, L, move in sc.identity_cases(pairs=25, seed=0):
         r = tc.prop_identity_residual(f, L, move)
-        L_beta = mv.build_L_beta(L, move)
+        L_beta = tc.build_L_beta(L, move)
         residuals.append(r)
         mutated.append(r + tc.delta_eval(f, L_beta)
                        - tc.delta_eval(f, L_beta.reverse()))

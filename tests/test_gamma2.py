@@ -16,7 +16,7 @@ from conftest import BIPYRAMID, oriented, relabeled
 def test_inessential_move_has_no_edge():
     bip = oriented(BIPYRAMID)
     flip = mv.make_move(bip, (1, 2))
-    assert g2.edge_of_move(bip, flip) is None
+    assert g2.edge_of_move(bip, flip, mv.apply_move(bip, flip)) is None
 
 
 def test_no_edge_exactly_when_code_and_orbit_repeat():
@@ -30,14 +30,15 @@ def test_no_edge_exactly_when_code_and_orbit_repeat():
     assert len(report.links) == 9
     for seq in report.links.values():
         for before, m, after in reversed(list(seq.replay())):
-            for rec in mv.induced_vertex_moves(after, m.inverse(), before):
+            links = cx.oriented_links(after, after.vertices)
+            for rec in mv.induced_vertex_moves(links, m.inverse(), before):
                 cases.append((rec.link_before, rec.induced, rec.link_after))
     verdicts = []
     for L, m, L2 in cases:
         inessential = (canon.sphere_data(L).code == canon.sphere_data(L2).code
                        and canon.sphere_data(L).orbit(m.delta1)
                        == canon.sphere_data(L2).orbit(m.delta2))
-        assert (g2.edge_of_move(L, m, L2=L2) is None) == inessential
+        assert (g2.edge_of_move(L, m, L2) is None) == inessential
         verdicts.append(inessential)
     assert set(verdicts) == {True, False}
 
@@ -45,7 +46,7 @@ def test_no_edge_exactly_when_code_and_orbit_repeat():
 def test_subdivision_edge_endpoints():
     d3 = cx.boundary_simplex(3)
     m = mv.make_move(d3, (0, 1, 2))
-    key, sign = g2.edge_of_move(d3, m)
+    key, sign = g2.edge_of_move(d3, m, mv.apply_move(d3, m))
     codes = {key.a.code, key.b.code}
     assert canon.sphere_data(d3).code in codes
     assert canon.sphere_data(mv.apply_move(d3, m)).code in codes
@@ -54,18 +55,18 @@ def test_subdivision_edge_endpoints():
 def test_move_and_inverse_share_key_with_opposite_signs(stacked6):
     for m in mv.admissible_moves(stacked6):
         L2 = mv.apply_move(stacked6, m)
-        e = g2.edge_of_move(stacked6, m, L2=L2)
+        e = g2.edge_of_move(stacked6, m, L2)
         if e is None:
             continue
         key, sign = e
-        key2, sign2 = g2.edge_of_move(L2, m.inverse())
+        key2, sign2 = g2.edge_of_move(L2, m.inverse(), stacked6)
         assert key2 == key and sign2 == -sign
 
 
 def test_edge_key_stable_under_relabeling(stacked6):
     rng = random.Random(3)
     m = mv.make_move(stacked6, (1, 3))
-    key, sign = g2.edge_of_move(stacked6, m)
+    key, sign = g2.edge_of_move(stacked6, m, mv.apply_move(stacked6, m))
     verts = list(stacked6.vertices)
     for _ in range(20):
         img = verts[:]
@@ -74,13 +75,13 @@ def test_edge_key_stable_under_relabeling(stacked6):
         other = relabeled(stacked6, perm)
         m2 = mv.Move(tuple(sorted((perm[1], perm[3]))),
                      mv.make_move(other, (perm[1], perm[3])).delta2)
-        key2, sign2 = g2.edge_of_move(other, m2)
+        key2, sign2 = g2.edge_of_move(other, m2, mv.apply_move(other, m2))
         assert (key2, sign2) == (key, sign)
 
 
 def test_mirror_is_involution(stacked6):
     m = mv.make_move(stacked6, (1, 3))
-    key, sign = g2.edge_of_move(stacked6, m)
+    key, sign = g2.edge_of_move(stacked6, m, mv.apply_move(stacked6, m))
     chain = g2.Chain1({key: sign})
     assert g2.mirror_chain(g2.mirror_chain(chain)) == chain
     assert g2.mirror_chain(g2.Chain1()) == g2.Chain1()
@@ -89,7 +90,7 @@ def test_mirror_is_involution(stacked6):
 def test_mirror_of_symmetric_subdivision_edge():
     d3 = cx.boundary_simplex(3)
     m = mv.make_move(d3, (0, 1, 2))
-    key, sign = g2.edge_of_move(d3, m)
+    key, sign = g2.edge_of_move(d3, m, mv.apply_move(d3, m))
     mk, ms = key.mirror()
     assert mk == key  # both endpoints are symmetric spheres, same orbit data
     assert g2.mirror_chain(g2.Chain1({key: 1})) == g2.Chain1({key: ms})
@@ -97,12 +98,14 @@ def test_mirror_of_symmetric_subdivision_edge():
 
 def test_boundary_and_cycles(stacked6):
     m = mv.make_move(stacked6, (2, 3, 6))  # subdivision: endpoints differ
-    key, sign = g2.edge_of_move(stacked6, m)
+    key, sign = g2.edge_of_move(stacked6, m, mv.apply_move(stacked6, m))
     one = g2.Chain1({key: sign})
     assert not g2.is_cycle(one)
     assert g2.is_cycle(one - one)
     # a flip with isomorphic endpoints is a loop edge, hence a cycle
-    loop_key, loop_sign = g2.edge_of_move(stacked6, mv.make_move(stacked6, (1, 3)))
+    flip = mv.make_move(stacked6, (1, 3))
+    loop_key, loop_sign = g2.edge_of_move(stacked6, flip,
+                                          mv.apply_move(stacked6, flip))
     assert loop_key.a.code == loop_key.b.code
     assert g2.is_cycle(g2.Chain1({loop_key: loop_sign}))
 
@@ -123,7 +126,7 @@ def test_loop_not_closed_raises(stacked6):
 def test_chain_algebra():
     d3 = cx.boundary_simplex(3)
     m = mv.make_move(d3, (0, 1, 2))
-    key, sign = g2.edge_of_move(d3, m)
+    key, sign = g2.edge_of_move(d3, m, mv.apply_move(d3, m))
     a = g2.Chain1({key: sign})
     assert (a + a).coefficients[key] == 2 * sign
     assert not (a - a)
@@ -134,7 +137,7 @@ def test_chain_algebra():
 
 def test_chain_json_round_trip(stacked6):
     m = mv.make_move(stacked6, (1, 3))
-    key, sign = g2.edge_of_move(stacked6, m)
+    key, sign = g2.edge_of_move(stacked6, m, mv.apply_move(stacked6, m))
     chain = g2.Chain1({key: sign}).scale(Fraction(7, 3))
     again = g2.chain_from_json(chain.to_json())
     assert again == chain

@@ -17,7 +17,7 @@ def test_empty_chain_evaluates_to_zero():
 
 def test_not_a_cycle_rejected(stacked6):
     m = mv.make_move(stacked6, (2, 3, 6))
-    key, sign = g2.edge_of_move(stacked6, m)
+    key, sign = g2.edge_of_move(stacked6, m, mv.apply_move(stacked6, m))
     with pytest.raises(sv.NotACycle):
         sv.evaluate_c0(g2.Chain1({key: sign}), {})
 
@@ -155,6 +155,21 @@ def test_early_stop_keeps_the_certificate(priced_cycles, monkeypatch):
     assert found["cp2_9+0"][0] < found["cp2_9+0"][1] == 221
 
 
+@pytest.mark.parametrize("q", [Fraction(10**9, 7), 10**12, Fraction(10**40, 3),
+                               Fraction(1, 10**40)],
+                         ids=["1e9/7", "1e12", "1e40/3", "1e-40"])
+def test_large_coefficients_solve_over_the_last_prime(priced_cycles, q):
+    """A cycle scaled past the reconstruction bound of the word-size primes
+    is solved modulo the last prime: q times the value, the same terms with
+    q times their coefficients."""
+    _, gamma, registry, _ = priced_cycles[0]
+    value, cert = sv.evaluate_c0(gamma, registry)
+    scaled_value, scaled = sv.evaluate_c0(gamma.scale(q), registry)
+    assert scaled_value == q * value
+    assert scaled.terms == [(c, q * a) for c, a in cert.terms]
+    assert not scaled.residual(gamma.scale(q))
+
+
 def _combine(combo, cols):
     out = {}
     for i, c in combo.items():
@@ -231,10 +246,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _is_mersenne_prime(n: int) -> bool:
+    """Lucas-Lehmer: n = 2**e - 1, e an odd prime, is prime exactly when
+    s = 4, s -> s*s - 2, reaches 0 modulo n after e - 2 steps."""
+    e = n.bit_length()
+    assert n == 2**e - 1 and e > 2 and _is_prime(e)
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % n
+    return s == 0
+
+
 def test_primes_are_prime():
     assert [_is_prime(n) for n in (2, 97, 561, 2**31 - 1, 2**61 - 3)] == [
         True, True, False, True, False]
-    assert all(_is_prime(p) for p in sv.PRIMES)
+    assert [_is_mersenne_prime(2**e - 1) for e in (3, 11, 61, 67, 521, 523)] == [
+        True, False, True, False, True, False]
+    for p in sv.PRIMES:  # a Mersenne entry 2**e - 1 by Lucas-Lehmer
+        assert _is_mersenne_prime(p) if p & (p + 1) == 0 else _is_prime(p)
     assert len(set(sv.PRIMES)) == len(sv.PRIMES)
 
 
@@ -301,7 +330,7 @@ def test_chain_scaling_linearity_property(a, b):
     from plp1.complexes import boundary_simplex
     d3 = boundary_simplex(3)
     m = mv.make_move(d3, (0, 1, 2))
-    key, sign = g2.edge_of_move(d3, m)
+    key, sign = g2.edge_of_move(d3, m, mv.apply_move(d3, m))
     c = g2.Chain1({key: sign})
     left = c.scale(a) + c.scale(b)
     right = c.scale(a + b)

@@ -53,7 +53,7 @@ def test_delta_counts_link_multiplicity():
         if d.code != d.mirror_code:
             target = S
     m = rng.choice(mv.admissible_moves(target))
-    L_beta = mv.build_L_beta(target, m)  # the link of one cone point is -target
+    L_beta = tc.build_L_beta(target, m)  # the link of one cone point is -target
     links = [cx.oriented_link(L_beta, v) for v in L_beta.vertices]
     f = tc.LocalFunction([(target, Fraction(5, 3))])
     d = canon.sphere_data(target)
@@ -92,9 +92,10 @@ def test_homotopy_identity_holds(pool):
         move = rng.choice(mv.admissible_moves(L))
         involved = [L, mv.apply_move(L, move)]
         # induced moves on circles change the vertex count: all essential
-        for rec in mv.induced_vertex_moves(L, move):
-            involved.append(mv.build_L_beta(rec.link_before, rec.induced))
-        L_beta = mv.build_L_beta(L, move)
+        for rec in mv.induced_vertex_moves(cx.oriented_links(L, L.vertices),
+                                           move, involved[1]):
+            involved.append(tc.build_L_beta(rec.link_before, rec.induced))
+        L_beta = tc.build_L_beta(L, move)
         involved += [cx.oriented_link(L_beta, v) for v in L_beta.vertices]
         terms = tc.identity_terms(L, move)
         assert [S for _, S in terms] == involved
@@ -109,7 +110,7 @@ def test_symmetric_spheres_always_evaluate_to_zero(pool):
     from conftest import BIPYRAMID
     bip = oriented(BIPYRAMID)
     flip = mv.make_move(bip, (1, 2))
-    lb = mv.build_L_beta(bip, flip)
+    lb = tc.build_L_beta(bip, flip)
     assert iso_generic(lb, lb.reverse(), orientation=True) is not None
     f = random_skew_table(pool, random.Random(9))
     for sym in (cx.boundary_simplex(3), bip):
