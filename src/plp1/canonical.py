@@ -11,8 +11,12 @@ The roots achieving the minimum are exactly the orientation-preserving
 automorphisms (Aut+), so all canonical data but one labeling depends on the
 code alone.  It is kept in one record per code, the sphere's class: Aut+ as
 permutations of the canonical labels, the mirror class with one map onto its
-labels, and the orbits met so far.  A sphere of a known class is canonised
-by its first code-minimising root.  A sphere that is its own mirror (code
+labels, the orbits met so far and the move table: what a bistellar move
+makes of a sphere depends only on the class and the Aut+-orbit of the
+move's simplex, so the sphere a move makes is canonised once per class and
+orbit, and later ones are labelled from the record (``SphereData.after``).
+A sphere of a known class is canonised by its first code-minimising root,
+also when it is labelled from a record.  A sphere that is its own mirror (code
 equal to mirror code) also has orientation-reversing automorphisms (Aut-):
 each one is an element of Aut+ composed with the map onto the mirror
 class's labels.  ``SphereData.automorphisms`` gives both sets, Aut±, as
@@ -114,15 +118,20 @@ class _SphereClass:
     """The canonical data of one code: Aut+ as permutations ``p`` of the
     canonical labels (``p[c]`` is the image of label c), the mirror class,
     ``to_mirror[c]``, the mirror class's label of c on the reversed sphere,
-    and the orbits of canonical simplices met so far."""
+    the orbits of canonical simplices met so far, and the move table:
+    ``moves[orbit]`` is (position, to_moved, moved class) for the first
+    move met whose simplex lies in the orbit, ``position`` that simplex in
+    canonical labels and ``to_moved[c]`` the moved sphere's label of c
+    (None for a removed vertex), followed by that of a created vertex."""
 
-    __slots__ = ("code", "auts", "mirror", "to_mirror", "orbits")
+    __slots__ = ("code", "auts", "mirror", "to_mirror", "orbits", "moves")
 
     def __init__(self, code: bytes, auts: list):
         self.code = code
         self.auts = auts
         self.mirror = self.to_mirror = None
         self.orbits: dict = {}
+        self.moves: dict = {}
 
     def orbit(self, c: tuple) -> tuple:
         """The least image of the sorted label tuple c under Aut+."""
@@ -217,23 +226,79 @@ def _relabel(lab, s: Simplex) -> tuple:
 
 
 class SphereData:
-    """Canonical data of one oriented 2-sphere: its rotation system, one
-    code-minimising labeling (``label``, vertex to canonical label) and its
-    class record (``cls``), whose code and mirror code it copies.  The one
-    interface to a sphere's combinatorial type; ``sphere_data`` caches it."""
+    """Canonical data of one oriented 2-sphere: its rotation system
+    (``rot``), one code-minimising labeling (``label``, vertex to canonical
+    label) and its class record (``cls``), whose code and mirror code it
+    copies.  The one interface to a sphere's combinatorial type;
+    ``sphere_data`` caches it."""
 
-    __slots__ = ("code", "mirror_code", "rot", "label", "cls")
+    __slots__ = ("code", "mirror_code", "label", "cls", "_sphere", "_rot")
 
     def __init__(self, L: OrientedComplex):
         # rotation_system has checked that every vertex link is one cycle,
         # so each edge lies in two facets and V - E + F is exact with
         # E = (sum of degrees) / 2; _min_code checks connectivity.
-        self.rot = rotation_system(L)
-        edges = sum(len(r) for r in self.rot.values()) // 2
-        if len(self.rot) - edges + len(L.facets) != 2:
+        self._sphere, self._rot = L, rotation_system(L)
+        edges = sum(len(r) for r in self._rot.values()) // 2
+        if len(self._rot) - edges + len(L.facets) != 2:
             raise NotA2Sphere("Euler characteristic != 2")
-        self.label, self.cls = _canonise(self.rot)
+        self.label, self.cls = _canonise(self._rot)
         self.code, self.mirror_code = self.cls.code, self.cls.mirror.code
+
+    @property
+    def rot(self) -> dict:
+        """rot[v][a] = b whenever (v, a, b) is a positively oriented facet;
+        built, and checked, when first read."""
+        if self._rot is None:
+            self._rot = rotation_system(self._sphere)
+        return self._rot
+
+    def after(self, m, L2: OrientedComplex) -> "SphereData":
+        """The cached data of L2, the sphere ``apply_move`` makes of this
+        one by the move m.  A sphere not cached yet is canonised, and the
+        move recorded, when the class's move table lacks m's orbit.
+        Otherwise the automorphism that carries m onto the recorded move
+        and the recorded labels give a code-minimising labeling of L2,
+        checked to be a bijection onto the moved class's labels with its
+        facet count (NotA2Sphere otherwise), and the first root among its
+        automorphic images is taken, as a cold canonisation takes it."""
+        data = _SPHERE_CACHE.get(L2)
+        if data is not None:
+            return data
+        cls, lab = self.cls, self.label
+        c = _relabel(lab, m.delta1)
+        key = cls.orbit(c)
+        entry = cls.moves.get(key)
+        if entry is None:
+            data = _SPHERE_CACHE[L2] = SphereData(L2)
+            to_moved = [data.label.get(v) for v in sorted(lab, key=lab.get)]
+            if len(m.delta2) == 1:
+                to_moved.append(data.label[m.delta2[0]])
+            cls.moves[key] = (c, tuple(to_moved), data.cls)
+            return data
+        position, to_moved, moved = entry
+        # an automorphism that carries m onto the recorded move
+        sigma = next(p for p in cls.auts
+                     if tuple(sorted([p[x] for x in c])) == position)
+        lab2 = {v: to_moved[sigma[x]] for v, x in lab.items()}
+        if len(m.delta1) == 1:
+            del lab2[m.delta1[0]]
+        elif len(m.delta2) == 1:
+            lab2[m.delta2[0]] = to_moved[-1]
+        n = len(moved.auts[0])
+        if (len(lab2) != n or len(L2.facets) != 2 * n - 4
+                or lab2.keys() != {v for f in L2.facets for v in f}):
+            raise NotA2Sphere(f"{L2} is not the sphere the move {m} makes")
+        if len(moved.auts) > 1:
+            # the first root in sorted order among the class's labelings
+            verts = sorted(lab2, key=lab2.get)
+            q = min(moved.auts,
+                    key=lambda q: (verts[q.index(0)], verts[q.index(1)]))
+            lab2 = {v: q[y] for v, y in lab2.items()}
+        data = _SPHERE_CACHE[L2] = SphereData.__new__(SphereData)
+        data._sphere, data._rot, data.label, data.cls = L2, None, lab2, moved
+        data.code, data.mirror_code = moved.code, moved.mirror.code
+        return data
 
     def orbit(self, s: Simplex, mirror: bool = False) -> tuple:
         """Aut-orbit of a simplex, written in canonical labels.

@@ -11,15 +11,15 @@ operation and induced orientations reduce to parity bookkeeping.
 facets are the keys of the map.  Unoriented facet rows are only input to
 ``orient``, which checks them as the constructor does (non-empty, pure)
 and rejects repeated facets.  ``extend_orientation`` alone decides closed,
-connected and oriented; ``_enter_link_facets`` alone holds the link rule,
-which both ``oriented_links`` (whole complexes) and ``carry_links`` (links
-carried across a local change) use.
+connected and oriented; ``link_signs`` alone holds the link rule, which
+``oriented_links`` reads whole links with and ``moves.induced_vertex_moves``
+checks the links it carries across a move against.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 Vertex = int
 Simplex = tuple
@@ -214,46 +214,28 @@ def oriented_link(L: OrientedComplex, v: int) -> OrientedComplex:
     return oriented_links(L, (v,))[v]
 
 
-def _enter_link_facets(links: dict, f: Simplex, sign: int) -> None:
+def link_signs(signs: Mapping[Simplex, int], vertices: Iterable[int]) -> dict:
     """The link rule: a sorted facet f with v at index i induces its other
-    vertices, in order, with sign * (-1)**i in the link of v; entered into
-    the sign map ``links[v]`` of every vertex v of f that keys ``links``."""
-    for i, v in enumerate(f):
-        lk = links.get(v)
-        if lk is not None:
-            lk[f[:i] + f[i + 1:]] = -sign if i % 2 else sign
+    vertices, in order, with sign * (-1)**i in the link of v.  Returns the
+    sign map the facets ``signs`` induce in the link of each of the
+    ``vertices``."""
+    links: dict = {v: {} for v in vertices}
+    for f, sign in signs.items():
+        for i, v in enumerate(f):
+            lk = links.get(v)
+            if lk is not None:
+                lk[f[:i] + f[i + 1:]] = -sign if i % 2 else sign
+    return links
 
 
 def oriented_links(L: OrientedComplex, vertices: Iterable[int]) -> dict:
     """Links of several vertices with the induced orientation, read in one
     pass over the facets."""
-    links: dict = {v: {} for v in vertices}
-    for f, sign in L.signs.items():
-        _enter_link_facets(links, f, sign)
+    links = link_signs(L.signs, vertices)
     for v, facets in links.items():
         if not facets or () in facets:
             raise SimplexNotInComplex(f"{(v,)} has no proper link")
     return {v: OrientedComplex(signs) for v, signs in links.items()}
-
-
-def carry_links(links: dict, removed: Collection[Simplex],
-                added: Mapping[Simplex, int]) -> None:
-    """Carry the vertex links ``links`` (vertex -> OrientedComplex) in place
-    across a change that drops the facets ``removed`` and adds the signed
-    ``added``: only their vertices get new links, a vertex left without
-    facets loses its link and a new vertex gets one."""
-    touched = {v for f in (*removed, *added) for v in f}
-    new = {v: dict(links[v].signs) if v in links else {} for v in touched}
-    for f in removed:
-        for i, v in enumerate(f):
-            del new[v][f[:i] + f[i + 1:]]
-    for f, sign in added.items():
-        _enter_link_facets(new, f, sign)
-    for v, signs in new.items():
-        if signs:
-            links[v] = OrientedComplex(signs)
-        else:
-            del links[v]
 
 
 def boundary_simplex(n: int) -> OrientedComplex:

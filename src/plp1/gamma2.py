@@ -57,8 +57,8 @@ class EdgeKey(NamedTuple):
                 "to": self.b.code.hex(), "to_orbit": list(self.b.orbit)}
 
 
-def endpoint(L: OrientedComplex, s) -> EndPoint:
-    d = canonical.sphere_data(L)
+def endpoint(d, s) -> EndPoint:
+    """The endpoint at the simplex s of the sphere whose data is d."""
     return EndPoint(d.code, d.orbit(s), d.mirror_code, d.orbit(s, mirror=True))
 
 
@@ -71,10 +71,13 @@ def edge_of_move(L: OrientedComplex, m: Move, L2: OrientedComplex):
     orbit (equal code and orbit force equal mirror data).
 
     The sign is +1 when the move's direction is the stored canonical one;
-    the inverse move returns the same key with the opposite sign.
+    the inverse move returns the same key with the opposite sign.  L2 is
+    read through ``SphereData.after``, so it must be what ``apply_move``
+    makes of L by m.
     """
-    src = endpoint(L, m.delta1)
-    dst = endpoint(L2, m.delta2)
+    d = canonical.sphere_data(L)
+    src = endpoint(d, m.delta1)
+    dst = endpoint(d.after(m, L2), m.delta2)
     if src == dst:
         return None
     if (dst, src) < (src, dst):
@@ -211,7 +214,7 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
         if (not s or len(set(s)) < len(s) or not L.has_simplex(s)
                 or data.orbit(s) != orbit):
             raise ValueError(f"{list(orbit)} is not the orbit of a face")
-        return EndPoint(code, orbit, data.mirror_code, data.orbit(s, mirror=True))
+        return endpoint(data, s)
 
     if not isinstance(entries, list):
         raise ChainFormatError(

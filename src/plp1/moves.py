@@ -15,7 +15,7 @@ import json
 from typing import Iterable, NamedTuple, Optional
 
 from .complexes import (ComplexError, NonOrientable, OrientedComplex,
-                        Simplex, carry_links)
+                        Simplex, link_signs)
 
 
 class MoveNotAdmissible(ComplexError):
@@ -251,36 +251,38 @@ def induced_vertex_moves(links: dict, m: Move, K2: OrientedComplex) -> list:
     """Per-vertex induced moves of a move K -> K2, validated by replay.
 
     ``links`` maps every vertex of K to its link in K, and is carried in
-    place to the links of K2 (``carry_links``): only the vertices of the
-    closed support change, from the facets the move exchanges, signed as in
-    K2.  Every vertex of the closed support present both before and after
-    is diffed; the created / destroyed vertex is excluded by definition.
+    place to the links of K2.  Each vertex of the closed support present
+    both before and after gets the link ``apply_move`` makes of its link by
+    the induced move; ``apply_move`` admits that move only where it drops
+    the links at the vertex of the facets m drops and adds those of the
+    facets m adds, so what is left to check is that the latter are signed
+    as the link rule (``link_signs``) signs them from K2.  The created
+    vertex gets the link of the added facets and the destroyed one loses
+    its link; both are excluded from the records by definition.
     """
     d1, d2 = set(m.delta1), set(m.delta2)
     closed = d1 | d2
     created = m.delta2[0] if len(m.delta2) == 1 else None
     destroyed = m.delta1[0] if len(m.delta1) == 1 else None
-    support = sorted(closed - {created, destroyed})
-    links_before = {v: links[v] for v in support}
-    carry_links(links, [tuple(sorted(closed - {b})) for b in m.delta2],
-                {g: K2.signs[g] for g in
-                 (tuple(sorted(closed - {a})) for a in m.delta1)})
+    added = link_signs({g: K2.signs[g] for g in
+                        (tuple(sorted(closed - {a})) for a in m.delta1)},
+                       closed - {destroyed})
     records = []
-    for v in support:
+    for v in sorted(closed - {created, destroyed}):
         if v in d1:
             ind = Move(tuple(sorted(d1 - {v})), m.delta2)
         else:
             ind = Move(m.delta1, tuple(sorted(d2 - {v})))
-        before = links_before[v]
-        after = links[v]
-        if before == after:
-            continue
-        if not ind.delta1:
-            raise InducedDiffNotABistellarMove(f"empty simplex at vertex {v}")
-        if apply_move(before, ind) != after:
+        before = links[v]
+        after = links[v] = apply_move(before, ind)
+        if any(after.signs[g] != s for g, s in added[v].items()):
             raise InducedDiffNotABistellarMove(
                 f"link diff at vertex {v} is not the expected move")
         records.append(InducedMoveRecord(v, ind, before, after))
+    if created is not None:
+        links[created] = OrientedComplex(added[created])
+    if destroyed is not None:
+        del links[destroyed]
     return records
 
 

@@ -9,8 +9,9 @@ expanding in move-radius rings on failure.  Each radius is solved once
 modulo a prime, eliminating the columns in order only until the cycle lies
 in their span, and lifted by rational reconstruction; the exact replay of
 the certificate decides whether it is accepted.  An unlucky prime gives
-way to the next, and the radius grows only when some prime found the
-cycle out of span and none gave a certificate.
+way to the next (the last one only after unlucky ones), and the radius
+grows only when some prime found the cycle out of span and none gave a
+certificate.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ CANDIDATE_MAX = 200_000
 # The primes of the modular elimination, tried in order; all are prime
 # (tests/test_solver.py checks it).  The two word-size ones admit every
 # fraction whose numerator and denominator are below 2**30; the Mersenne
-# prime 2**521 - 1, tried only after both fail, admits those below 2**259.
+# prime 2**521 - 1, tried only when both are unlucky, admits those below
+# 2**259.
 PRIMES = (2**61 - 1, 2**62 - 57, 2**521 - 1)
 
 
@@ -151,9 +153,13 @@ def _over_primes(solve):
     """The first result of solve(prime) over the primes of PRIMES; solve
     raises UnluckyPrime when its result fails the exact check and returns
     None when it finds none.  None when no prime gave a result and at
-    least one found none."""
+    least one found none.  The last prime, the slowest, serves only
+    results the others cannot reconstruct, so it is not tried once an
+    earlier one has found none."""
     found_none = False
     for prime in PRIMES:
+        if found_none and prime == PRIMES[-1]:
+            break
         try:
             out = solve(prime)
         except UnluckyPrime:
@@ -264,9 +270,10 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
             break
         nxt: list = []
         for L in frontier:
+            data = canonical.sphere_data(L)
             for m in admissible_moves(L):
                 L2 = apply_move(L, m)
-                code = canonical.sphere_data(L2).code
+                code = data.after(m, L2).code
                 if code not in anchors:
                     anchors[code] = L2
                     nxt.append(L2)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,10 +8,10 @@ from plp1 import canonical as canon
 from plp1 import complexes as cx
 from plp1 import moves as mv
 from plp1 import pontryagin as pt
-from plp1.fixtures import cp2_9, link_L
+from plp1.fixtures import boundary_d5, cp2_9, link_L
 
 from conftest import (OCTAHEDRON, STACKED6, euler_characteristic, oriented,
-                      relabeled)
+                      relabeled, subdivided)
 from isomorphism import automorphisms, iso_generic, labelings
 
 
@@ -131,20 +132,31 @@ def _map_set(maps):
 
 
 def _canonical_values(L):
-    """Code, mirror code, both orbits of every face, and the Aut+ and Aut-
-    vertex maps as sets."""
+    """Labeling, code, mirror code, both orbits of every face, and the Aut+
+    and Aut- vertex maps as sets."""
     d = canon.sphere_data(L)
     faces = [s for k in range(3) for s in sorted(L.faces(k))]
     plus, minus = d.automorphisms()
-    return (d.code, d.mirror_code,
+    return (d.label, d.code, d.mirror_code,
             [(d.orbit(s), d.orbit(s, mirror=True)) for s in faces],
             _map_set(plus), _map_set(minus))
 
 
-def test_results_do_not_depend_on_cache_state(cp2_sphere_pairs):
+@pytest.fixture(scope="module")
+def cp2_move_steps(cp2_sphere_pairs):
+    """(L, m, L2) for every admissible move m of both orientations of every
+    23rd sphere the cp2_9 pipeline meets, L2 what the move makes of L."""
+    return [(L, m, mv.apply_move(L, m)) for pair in cp2_sphere_pairs[::23]
+            for L in pair for m in mv.admissible_moves(L)]
+
+
+def test_results_do_not_depend_on_cache_state(cp2_sphere_pairs,
+                                              cp2_move_steps):
     """Canonical data read cold (both module caches cleared before each
     sphere), warm in pipeline order, and warm in reversed order with the
-    reverse first, agree."""
+    reverse first, agree; and so does the data of moved spheres reached
+    through ``SphereData.after``, in step order and in reversed order, with
+    that of the same spheres read cold."""
     cold = []
     for pair in cp2_sphere_pairs:
         values = []
@@ -158,6 +170,114 @@ def test_results_do_not_depend_on_cache_state(cp2_sphere_pairs):
     backwards = [[_canonical_values(L) for L in pair[::-1]][::-1]
                  for pair in cp2_sphere_pairs[::-1]][::-1]
     assert cold == warm == backwards
+
+    def moved(steps):
+        _clear_caches()
+        out = []
+        for L, m, L2 in steps:
+            canon.sphere_data(L).after(m, L2)
+            out.append(_canonical_values(L2))
+        return out
+
+    cold = []
+    for _, _, L2 in cp2_move_steps:
+        _clear_caches()
+        cold.append(_canonical_values(L2))
+    assert moved(cp2_move_steps) == cold
+    assert moved(cp2_move_steps[::-1])[::-1] == cold
+
+
+def test_cached_data_equals_cold_after_pipelines():
+    """After p1 of three inputs and the cycle of a fourth, in one process,
+    every cached sphere's data, many of them labelled through move tables,
+    equals the data built with both caches cleared, rotation system
+    included."""
+    _clear_caches()
+    for M in (cp2_9(), subdivided(cp2_9(), 2), boundary_d5()):
+        pt.pontryagin_number(pt.Manifold4Input(M))
+    K = pt.Manifold4Input(subdivided(cp2_9(), 7))
+    pt.assemble_p1_cycle(K, pt.verify_4manifold(K).links)
+    cached = list(canon._SPHERE_CACHE.items())
+    assert sum(d._rot is None for _, d in cached) > len(cached) // 4
+    warm = [(_canonical_values(L), d.rot) for L, d in cached]
+    cold = []
+    for L, _ in cached:
+        _clear_caches()
+        cold.append((_canonical_values(L), canon.sphere_data(L).rot))
+    assert warm == cold
+
+
+def _first_root_labeling(L):
+    """The labeling of the first root, in sorted order, of least code over
+    every directed edge of L."""
+    rot = canon.rotation_system(L)
+    best = None
+    for u in sorted(rot):
+        for w in sorted(rot[u]):
+            blocks, label = canon._code_from_root(rot, u, w)
+            if best is None or blocks < best[0]:
+                best = blocks, label
+    return best[1]
+
+
+def _subdivided_twice():
+    """The octahedron with two opposite faces subdivided: two vertices of
+    degree 3 that an orientation-preserving automorphism swaps."""
+    L = oriented(OCTAHEDRON)
+    for face in ((1, 2, 3), (4, 5, 6)):
+        L = mv.apply_move(L, mv.make_move(L, face))
+    return L
+
+
+def test_move_table_has_one_entry_per_orbit():
+    """Every admissible move of the octahedron, of it with two opposite
+    faces subdivided and of STACKED6 (2-2 flips, 1-3 subdivisions with a
+    fresh vertex, 3-1 removals) prices its moved sphere with the labeling
+    of the sphere's first code-minimising root; the moves of one Aut+ orbit
+    share one table entry, and all but the first are labelled from it."""
+    shared = set()
+    for L in (oriented(OCTAHEDRON), _subdivided_twice(), oriented(STACKED6)):
+        _clear_caches()
+        d = canon.sphere_data(L)
+        orbits: dict = {}
+        for m in mv.admissible_moves(L):
+            hit = d.orbit(m.delta1) in d.cls.moves
+            orbits.setdefault(d.orbit(m.delta1), []).append(m)
+            L2 = mv.apply_move(L, m)
+            got = d.after(m, L2)
+            assert got is canon.sphere_data(L2)
+            assert (got._rot is None) == hit
+            assert got.label == _first_root_labeling(L2)
+            assert got.rot == canon.rotation_system(L2)
+        assert d.cls.moves.keys() == orbits.keys()
+        shared |= {len(ms[0].delta1) for ms in orbits.values()
+                   if len(ms) > 1}
+    assert shared == {1, 2, 3}
+
+
+def test_moved_sphere_that_does_not_match_the_table_is_rejected():
+    """With the subdivision and flip orbits of the octahedron in its table,
+    a sphere of the wrong vertex count, vertex set or facet count for the
+    move raises NotA2Sphere and is not cached."""
+    octa = oriented(OCTAHEDRON)
+    _clear_caches()
+    d = canon.sphere_data(octa)
+    moves = mv.admissible_moves(octa)
+    for size in (2, 3):
+        first, m = [m for m in moves if len(m.delta1) == size][:2]
+        d.after(first, mv.apply_move(octa, first))
+        L2 = mv.apply_move(octa, m)
+        extra = next(f for f in itertools.combinations(L2.vertices, 3)
+                     if f not in L2.signs)
+        shift = {v: v + 10 for v in L2.vertices}
+        wrong = [relabeled(L2, shift), cx.OrientedComplex({**L2.signs,
+                                                           extra: 1})]
+        if size == 3:
+            wrong.append(octa.reverse())
+        for bad in wrong:
+            with pytest.raises(canon.NotA2Sphere):
+                d.after(m, bad)
+            assert bad not in canon._SPHERE_CACHE
 
 
 def test_labelings_are_all_minimising_roots_cold_and_warm(cp2_sphere_pairs):

@@ -341,7 +341,7 @@ def test_forward_replay_walked_backwards_is_the_inverse_replay():
 
 @pytest.mark.parametrize("module,allowed", [
     (mv, {"complexes": {"ComplexError", "NonOrientable", "OrientedComplex",
-                        "Simplex", "carry_links"}}),
+                        "Simplex", "link_signs"}}),
     (red, {"complexes": {"ComplexError", "OrientedComplex"},
            "moves": {"FaceIndex", "Move", "MoveSequence"}}),
 ], ids=["moves", "reduction"])

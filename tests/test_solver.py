@@ -311,6 +311,24 @@ def test_out_of_span_modulo_one_prime_keeps_the_radius(stacked6, monkeypatch):
         assert c.to_json() == cert.to_json()
 
 
+def test_out_of_span_cycle_skips_the_last_prime(stacked6, monkeypatch):
+    """A cycle out of the span of the radius-0 columns is eliminated modulo
+    the two word-size primes only: the slow last prime lifts large
+    coefficients and has nothing to add once a prime found no result."""
+    g = _radius_one_case(stacked6, monkeypatch)
+    primes = []
+    decompose = sv._decompose
+
+    def counted(gamma, cands, radius, prime):
+        primes.append(prime)
+        return decompose(gamma, cands, radius, prime)
+
+    monkeypatch.setattr(sv, "_decompose", counted)
+    with pytest.raises(sv.NoDecompositionWithinBudget):
+        sv.evaluate_c0(g.chain, budget=sv.SolverBudget(radius_max=0))
+    assert primes == list(sv.PRIMES[:2])
+
+
 def test_null_relations_retry_unlucky_prime(stacked6, monkeypatch):
     columns = [(g.chain, g.value) for g in gen.enumerate_at(stacked6)]
     assert sv.value_null_violations(columns) == []
