@@ -194,7 +194,7 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
     given a complex for.  Raises ChainFormatError, naming the entry, on
     anything but a list of {"edge": {...}, "coeff": "p/q"} entries whose
     orbits are canonical orbits of faces of their spheres, with int labels
-    (not bool) and no label repeated.
+    (not bool) and no label repeated, and whose two endpoints differ.
     """
     spheres: dict = {}
 
@@ -225,6 +225,8 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
             e = entry["edge"]
             a = end(e["from"], e["from_orbit"])
             b = end(e["to"], e["to_orbit"])
+            if a == b:
+                raise ValueError("the edge joins an endpoint to itself")
             num, den = entry["coeff"].split("/")
             items.append((EdgeKey(a, b), Fraction(int(num), int(den))))
         except (LookupError, TypeError, ValueError, AttributeError,

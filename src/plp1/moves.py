@@ -43,10 +43,11 @@ class Move(NamedTuple):
         return d
 
 
-def _cofactor(d1: Simplex, star: Iterable[Simplex], n: int, present) -> Simplex:
+def _cofactor(d1: Simplex, star: Iterable[Simplex], n: int) -> Simplex:
     """The cofactor d2 of d1 in an n-sphere, given the facets ``star`` that
-    contain d1: the link of d1 must be the boundary of the simplex d2 and
-    ``present(d2)`` must be false.  Raises MoveNotAdmissible otherwise."""
+    contain d1: the link of d1 must be the boundary of the simplex d2.
+    Raises MoveNotAdmissible otherwise; whether d2 is present is the
+    caller's test."""
     if not star:
         raise MoveNotAdmissible(f"{d1} not in complex")
     # the boundary of the simplex d2 has one facet per vertex, n+2-k of them
@@ -56,8 +57,6 @@ def _cofactor(d1: Simplex, star: Iterable[Simplex], n: int, present) -> Simplex:
     d2 = tuple(sorted({v for f in lk for v in f}))
     if set(lk) != set(itertools.combinations(d2, len(d2) - 1)):
         raise MoveNotAdmissible(f"link of {d1} is not a simplex boundary")
-    if present(d2):
-        raise MoveNotAdmissible(f"cofactor {d2} already a simplex")
     return d2
 
 
@@ -75,8 +74,10 @@ def make_move(L: OrientedComplex, delta1: Iterable[int],
             raise MoveNotAdmissible(f"vertex {nv} already present")
         return Move(d1, (nv,))
     s1 = set(d1)
-    star = [f for f in L.facets if s1 <= set(f)]
-    return Move(d1, _cofactor(d1, star, n, L.has_simplex))
+    d2 = _cofactor(d1, [f for f in L.facets if s1 <= set(f)], n)
+    if L.has_simplex(d2):
+        raise MoveNotAdmissible(f"cofactor {d2} already a simplex")
+    return Move(d1, d2)
 
 
 def _admit(m: Move, star, n: int, present: bool, facets: int) -> None:
@@ -87,11 +88,11 @@ def _admit(m: Move, star, n: int, present: bool, facets: int) -> None:
     if len(d1) == n + 1:
         admissible = d1 in star and len(d2) == 1 and not present
     else:
-        # ``present`` is about m.delta2: a derived cofactor that differs from
-        # it fails the comparison, and the message names the move
-        admissible = (d1 == tuple(sorted(d1))
-                      and _cofactor(d1, star, n,
-                                    lambda c: present and c == d2) == d2)
+        # a derived cofactor that differs from d2 fails the comparison, and
+        # the message names the move
+        admissible = d1 == tuple(sorted(d1)) and _cofactor(d1, star, n) == d2
+        if admissible and present:
+            raise MoveNotAdmissible(f"cofactor {d2} already a simplex")
     if not admissible:
         raise MoveNotAdmissible(f"{m} not admissible")
     if len(star) == facets:
@@ -125,16 +126,17 @@ def _star_signs(d1: Simplex, d2: Simplex, signs) -> dict:
 
 
 class FaceIndex:
-    """Every face of an n-sphere with the facets that contain it, which
-    ``apply`` updates in the star of the move alone.  The link test of a
-    face is kept until its star changes; whether its cofactor is present is
-    read on every query.  Answers ``dim``, ``vertices`` and ``facets``."""
+    """Every face of an n-complex with the facets that contain it, which
+    ``apply`` updates in the star of the move alone, with every check of
+    ``apply_move``.  ``moves`` is specified on closed complexes (every ridge
+    in two facets): there the link of a face of k vertices is a closed
+    (n-k)-pseudomanifold, and the only one with n+2-k facets is the boundary
+    of a simplex.  Answers ``dim``, ``vertices`` and ``facets``."""
 
     def __init__(self, L: OrientedComplex):
         self.dim = L.dim
         self.signs: dict = {}
         self._stars = {k: {} for k in range(1, L.dim + 2)}  # by face size
-        self._links: dict = {}  # face -> its cofactor, or () for none
         self._enter(L.signs)
 
     @property
@@ -146,9 +148,6 @@ class FaceIndex:
         return self.signs.keys()
 
     def _enter(self, signs) -> None:
-        # drops no link test: a face of a new facet lies in a removed facet,
-        # whose faces ``apply`` has dropped, or contains the move's cofactor,
-        # which was absent, and so is new
         for f, sign in signs.items():
             self.signs[f] = sign
             for k in range(1, len(f) + 1):
@@ -162,30 +161,23 @@ class FaceIndex:
 
     def moves(self, sizes: Optional[Iterable[int]] = None) -> list:
         """The admissible moves whose delta1 has one of the given ``sizes``
-        (by default all, facet subdivisions included with the fresh vertex
-        max+1), in a deterministic order: faces in order of the first
-        sorted facet that contains them, then by size, then by face."""
+        (by default all), in a deterministic order: faces in order of the
+        first sorted facet that contains them, then by size, then by face.
+        A face of k vertices has a move when its star has n+2-k facets and
+        the other vertices of its star, the cofactor, span no face; a facet's
+        cofactor is empty, and its subdivision takes the fresh vertex max+1."""
         n = self.dim
         sizes = set(range(1, n + 2) if sizes is None else sizes)
         if not sizes <= set(range(1, n + 2)):
             raise ValueError(f"face sizes {sorted(sizes)} outside 1..{n + 1}")
         keyed = []
         for k in sizes:
-            if k == n + 1:
-                keyed += [(f, k, f, None) for f in self.signs]
-                continue
-            # the size test of _cofactor, made here so most faces raise nothing
             want = n + 2 - k
+            faces = self._stars[want]  # the faces of the cofactor's size
             for d1, star in self._stars[k].items():
                 if len(star) == want:
-                    d2 = self._links.get(d1)
-                    if d2 is None:
-                        try:
-                            d2 = _cofactor(d1, star, n, lambda c: False)
-                        except MoveNotAdmissible:
-                            d2 = ()
-                        self._links[d1] = d2
-                    if d2 and d2 not in self._stars[len(d2)]:
+                    d2 = tuple(sorted(set().union(*star).difference(d1)))
+                    if d2 not in faces:
                         keyed.append((min(star), k, d1, d2))
         keyed.sort()
         nv = (max(self._stars[1])[0] + 1,)
@@ -207,14 +199,13 @@ class FaceIndex:
                     cofaces.discard(f)
                     if not cofaces:
                         del by_face[g]
-                    self._links.pop(g, None)
         self._enter(new)
 
 
 def admissible_moves(L: OrientedComplex, sizes: Optional[Iterable[int]] = None) -> list:
-    """The admissible moves of L whose delta1 has one of the given
-    ``sizes`` (see ``FaceIndex.moves``); raises ValueError for a size
-    outside 1..dim+1."""
+    """The admissible moves of the closed complex L whose delta1 has one of
+    the given ``sizes`` (see ``FaceIndex.moves``, which reads each off its
+    face's star size); raises ValueError for a size outside 1..dim+1."""
     return FaceIndex(L).moves(sizes)
 
 

@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Dict, Optional
 
-from . import canonical
+from . import canonical, reduction
 from .complexes import (ComplexError, OrientedComplex, oriented_links,
                         require_closed)
 from .gamma2 import Chain1, is_cycle, mirror_chain, edge_of_move
@@ -212,6 +212,9 @@ def assemble_p1_cycle(K: Manifold4Input,
         edges, firsts = [], []
         steps = list(seq.replay())
         state = steps[-1][2] if steps else seq.initial
+        if not reduction._is_target(state):
+            raise ComplexError(
+                f"reduction for vertex {v} does not end on a simplex boundary")
         carried = oriented_links(state, state.vertices)
         for before, m, after in reversed(steps):
             for rec in induced_vertex_moves(carried, m.inverse(), before):

@@ -143,6 +143,17 @@ def test_chain_json_round_trip(stacked6):
     assert again == chain
 
 
+def test_chain_from_json_rejects_a_self_loop():
+    """An edge from an endpoint to itself is no edge of the graph, so the
+    entry is refused rather than searched for a decomposition."""
+    code = canon.sphere_data(cx.oriented_link(fx.link_L(), 1)).code.hex()
+    entry = {"edge": {"from": code, "from_orbit": [3],
+                      "to": code, "to_orbit": [3]}, "coeff": "1/1"}
+    with pytest.raises(g2.ChainFormatError,
+                       match=r"^entry 0: ValueError: .* to itself$"):
+        g2.chain_from_json([entry])
+
+
 def test_mirror_commutes_with_loop_to_chain(stacked6, loop_moves):
     """Mirroring the sphere and replaying the same moves mirrors the chain,
     and gives the chain of the mirror column."""

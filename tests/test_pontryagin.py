@@ -173,6 +173,18 @@ def test_missing_reductions_are_named():
         pt.assemble_p1_cycle(K, partial)
 
 
+def test_reduction_that_stops_short_is_rejected():
+    """A reduction that does not end on a simplex boundary would price a
+    wrong cycle (p1 = 8/3 for an empty one at vertex 1), so assembly
+    refuses it and names the vertex."""
+    K = pt.Manifold4Input(fx.cp2_9())
+    links = pt.verify_4manifold(K, ReductionConfig(seed=0)).links
+    links[1] = MoveSequence(links[1].initial, [])
+    with pytest.raises(cx.ComplexError, match=r"^reduction for vertex 1 "
+                       r"does not end on a simplex boundary$"):
+        pt.assemble_p1_cycle(K, links)
+
+
 def _see_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
