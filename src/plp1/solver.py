@@ -131,8 +131,9 @@ class Eliminator:
     def express(self, vec: dict) -> Optional[dict]:
         """{i: a_i} with vec = sum a_i * col_i, lifted to rationals by
         ``rational``, or None if vec is out of span modulo the prime.  The
-        pipeline does not call it; it stays as the plain elimination that
-        ``_decompose`` is tested against, and as a traced name."""
+        pipeline does not call it; it stays as the plain elimination of
+        every column that the solver's early stop is tested against, and
+        as a traced name."""
         v, steps = self._reduce(self._residues(vec))
         return None if v else self.combination(steps)
 
@@ -149,16 +150,17 @@ class Eliminator:
         return {i: rational(a, p) for i, a in out.items()}
 
 
-def _over_primes(solve):
+def _over_primes(solve, final: bool = True):
     """The first result of solve(prime) over the primes of PRIMES; solve
     raises UnluckyPrime when its result fails the exact check and returns
     None when it finds none.  None when no prime gave a result and at
     least one found none.  The last prime, the slowest, serves only
     results the others cannot reconstruct, so it is not tried once an
-    earlier one has found none."""
+    earlier one has found none; with ``final`` False, while more columns
+    are still to come, no prime is tried after one that found none."""
     found_none = False
     for prime in PRIMES:
-        if found_none and prime == PRIMES[-1]:
+        if found_none and (not final or prime == PRIMES[-1]):
             break
         try:
             out = solve(prime)
@@ -224,14 +226,21 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
     certificate found.  Any other code under the cycle is rebuilt from the
     code itself with ``canonical.complex_from_code``.
 
-    Raises NotACycle for non-cycles, NoDecompositionWithinBudget when the
-    expanding candidate search fails, and ComplexError when at some radius
-    every prime of PRIMES is unlucky; every returned value has passed the
-    exact replay of its certificate.
+    The anchors of a radius are enumerated one at a time, fewest vertices
+    first (a code's length is 7V - 12) and then by code; each anchor's new
+    columns are shuffled by the seeded generator and fed to the
+    elimination, which stops the search once the cycle lies in their span.
+
+    Raises ValueError for a negative ``radius_max``, NotACycle for
+    non-cycles, NoDecompositionWithinBudget when the expanding candidate
+    search fails, and ComplexError when every prime of PRIMES is unlucky;
+    every returned value has passed the exact replay of its certificate.
     """
+    budget = budget or SolverBudget()
+    if budget.radius_max < 0:
+        raise ValueError(f"radius_max {budget.radius_max} is negative")
     if not is_cycle(gamma):
         raise NotACycle("boundary is nonzero")
-    budget = budget or SolverBudget()
     if not gamma:
         return Fraction(0), DecompositionCertificate([], Fraction(0), 0, 0)
 
@@ -239,20 +248,26 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
     cands: list = []
     seen_chains = set()
     anchors = _support_complexes(gamma, registry or {})
-    frontier = list(anchors.values())
+    frontier = list(anchors)
+    spans: dict = {}  # prime -> _Span of gamma over cands
+
+    def solve(prime):
+        if prime not in spans:
+            spans[prime] = _Span(gamma, prime)
+        return spans[prime].certificate(cands, radius)
 
     enumerated = set()
     for radius in range(budget.radius_max + 1):
-        batch = []
-        for L in frontier:
+        for code in sorted(frontier, key=lambda c: (len(c), c)):
             # enumerate_at(L) already holds the mirror of every column at
             # the mirror sphere, so an anchor whose mirror was enumerated
             # would add only repeats.
-            data = canonical.sphere_data(L)
+            data = canonical.sphere_data(anchors[code])
             if data.mirror_code in enumerated:
                 continue
             enumerated.add(data.code)
-            for cand in enumerate_at(L):
+            batch = []
+            for cand in enumerate_at(anchors[code]):
                 key = cand.chain.normalized()[0].frozen()
                 if key in seen_chains:
                     continue
@@ -261,61 +276,75 @@ def evaluate_c0(gamma: Chain1, registry: Optional[dict] = None,
                 if len(cands) + len(batch) > CANDIDATE_MAX:
                     raise NoDecompositionWithinBudget(
                         f"more than {CANDIDATE_MAX} candidates")
-        rng.shuffle(batch)
-        cands += batch
-        cert = _over_primes(lambda p: _decompose(gamma, cands, radius, p))
+            rng.shuffle(batch)
+            cands += batch
+            cert = _over_primes(solve, final=False)
+            if cert is not None:
+                return cert.value, cert
+        cert = _over_primes(solve)
         if cert is not None:
             return cert.value, cert
         if radius == budget.radius_max:
             break
         nxt: list = []
-        for L in frontier:
+        for code in frontier:
+            L = anchors[code]
             data = canonical.sphere_data(L)
             for m in admissible_moves(L):
                 L2 = apply_move(L, m)
-                code = data.after(m, L2).code
-                if code not in anchors:
-                    anchors[code] = L2
-                    nxt.append(L2)
+                code2 = data.after(m, L2).code
+                if code2 not in anchors:
+                    anchors[code2] = L2
+                    nxt.append(code2)
         frontier = nxt
     raise NoDecompositionWithinBudget(
         f"no decomposition within radius {budget.radius_max} "
         f"({len(cands)} candidates)")
 
 
-def _decompose(gamma: Chain1, cands: list, radius: int, prime: int):
-    """The certificate of gamma over the candidates modulo ``prime``, None
-    when gamma is out of their span there; raises UnluckyPrime when the
-    certificate does not replay exactly.
+class _Span:
+    """The elimination of gamma modulo one prime, resumed as columns come.
 
-    Columns are inserted in order until gamma lies in their span.  Its
-    residual is reduced by each new row alone, which equals reducing it by
-    all rows so far, since a row is zero at every earlier row's pivot, and
-    its steps are what ``combination`` substitutes back.  A later column
-    could only add a row with coefficient zero, because gamma's
-    representation over independent rows is unique; so the certificate is
-    the one all columns would give."""
-    coord: dict = {}  # EdgeKey -> integer coordinate, gamma's keys first
-    elim = Eliminator(prime)
-    residual = elim._residues(_on_coordinates(gamma, coord))
-    steps = []  # (row index, multiple subtracted from the residual)
-    for idx, cand in enumerate(cands):
-        if not residual:
-            break
-        if elim.insert(idx, _on_coordinates(cand.chain, coord)) is None:
-            pivot, row = elim.rows[-1][:2]
-            c = residual.get(pivot)
-            if c:
-                _subtract(residual, row, c, prime)
-                steps.append((len(elim.rows) - 1, c))
-    if residual:
-        return None
-    terms = [(cands[i], q) for i, q in sorted(elim.combination(steps).items())]
-    value = sum((c.value * q for c, q in terms), Fraction(0))
-    cert = DecompositionCertificate(terms, value, radius, len(cands))
-    if cert.residual(gamma):
-        raise UnluckyPrime(f"no exact replay modulo {prime}")
-    return cert
+    Each column is inserted once, in order, until gamma lies in the span
+    of those so far.  The residual of gamma is reduced by each new row
+    alone, which equals reducing it by all rows so far, since a row is
+    zero at every earlier row's pivot, and its steps are what
+    ``combination`` substitutes back.  A later column could only add a
+    row with coefficient zero, because gamma's representation over
+    independent rows is unique; so the certificate is the one all columns
+    would give."""
+
+    def __init__(self, gamma: Chain1, prime: int):
+        self.gamma, self.coord, self.elim = gamma, {}, Eliminator(prime)
+        # EdgeKey -> integer coordinate, gamma's keys first
+        self.residual = self.elim._residues(_on_coordinates(gamma, self.coord))
+        self.steps = []  # (row index, multiple subtracted from the residual)
+        self.fed = 0     # columns of cands inserted so far
+
+    def certificate(self, cands: list, radius: int):
+        """Insert the columns of ``cands`` not yet inserted: the
+        certificate of gamma over them, None when gamma is out of their
+        span modulo the prime; raises UnluckyPrime when the certificate
+        does not replay exactly."""
+        elim, prime = self.elim, self.elim.prime
+        while self.residual and self.fed < len(cands):
+            idx, self.fed = self.fed, self.fed + 1
+            if elim.insert(idx, _on_coordinates(cands[idx].chain,
+                                                self.coord)) is None:
+                pivot, row = elim.rows[-1][:2]
+                c = self.residual.get(pivot)
+                if c:
+                    _subtract(self.residual, row, c, prime)
+                    self.steps.append((len(elim.rows) - 1, c))
+        if self.residual:
+            return None
+        terms = [(cands[i], q)
+                 for i, q in sorted(elim.combination(self.steps).items())]
+        value = sum((c.value * q for c, q in terms), Fraction(0))
+        cert = DecompositionCertificate(terms, value, radius, len(cands))
+        if cert.residual(self.gamma):
+            raise UnluckyPrime(f"no exact replay modulo {prime}")
+        return cert
 
 
 def _on_coordinates(chain: Chain1, coord: dict) -> dict:

@@ -414,36 +414,71 @@ def test_enumerate_matches_building_every_anchor(anchor_spheres):
         assert _columns(gen.enumerate_at(L)) == _columns(every)
 
 
-def test_evaluate_c0_alone_drops_repeats(cp2_cycle, monkeypatch):
-    """The columns ``_decompose`` gets on the seed-0 cycle have distinct
-    normalized chains, and they are the first occurrences among what
-    ``enumerate_at`` returned at the spheres ``evaluate_c0`` enumerated,
-    in the order of its seeded shuffle of the one radius it needs."""
-    gamma, registry = cp2_cycle
-    returned, given = [], []
-    enumerate_at, decompose = sv.enumerate_at, sv._decompose
+def _subdivided_cycle(k: int):
+    """The default cycle of cp2_9 after ``k`` seeded facet subdivisions,
+    and its registry of spheres."""
+    from conftest import subdivided
+    from plp1.fixtures import cp2_9
+    from plp1 import pontryagin as pt
+    K = pt.Manifold4Input(subdivided(cp2_9(), k))
+    return pt.assemble_p1_cycle(K, pt.verify_4manifold(K).links)
+
+
+def _record_enumerated(monkeypatch) -> list:
+    """What ``enumerate_at`` returns to ``evaluate_c0``, one list per call."""
+    returned, enumerate_at = [], sv.enumerate_at
 
     def record_columns(L):
-        columns = enumerate_at(L)
-        returned.extend(columns)
-        return columns
-
-    def record_cands(gamma, cands, radius, prime):
-        given.append(list(cands))
-        return decompose(gamma, cands, radius, prime)
+        returned.append(enumerate_at(L))
+        return returned[-1]
 
     monkeypatch.setattr(sv, "enumerate_at", record_columns)
-    monkeypatch.setattr(sv, "_decompose", record_cands)
-    _, cert = sv.evaluate_c0(gamma, registry)
-    assert cert.radius_used == 0 and len(given) == 1
-    cands = given[0]
-    keys = {c.chain.normalized()[0].frozen() for c in cands}
-    assert len(keys) == len(cands) == cert.columns_seen
-    kept = _columns(returned)
-    assert len(kept) < len(returned)  # there were repeats to drop
-    random.Random(0).shuffle(kept)
-    assert len(cands) == len(kept)
-    assert all(a is b for a, b in zip(cands, kept))
+    return returned
+
+
+def test_evaluate_c0_alone_drops_repeats(cp2_cycle, monkeypatch):
+    """The columns the elimination gets, on the seed-0 cycle and on the
+    cycle of 4 subdivisions, have distinct normalized chains, and they are
+    the first occurrences among what ``enumerate_at`` returned at the
+    spheres ``evaluate_c0`` enumerated, each anchor's new columns in the
+    order of the seeded shuffle."""
+    anchors = []
+    for gamma, registry in (cp2_cycle, _subdivided_cycle(4)):
+        given, certificate = [], sv._Span.certificate
+        with monkeypatch.context() as m:
+            returned = _record_enumerated(m)
+            m.setattr(sv._Span, "certificate",
+                      lambda self, cands, radius: given.append(list(cands))
+                      or certificate(self, cands, radius))
+            _, cert = sv.evaluate_c0(gamma, registry)
+        assert cert.radius_used == 0
+        cands = given[-1]
+        keys = {c.chain.normalized()[0].frozen() for c in cands}
+        assert len(keys) == len(cands) == cert.columns_seen
+        rng, kept, seen = random.Random(0), [], set()
+        for columns in returned:
+            new = [c for c in _columns(columns)
+                   if c.chain.normalized()[0].frozen() not in seen]
+            seen.update(c.chain.normalized()[0].frozen() for c in new)
+            rng.shuffle(new)
+            kept += new
+        # there were repeats to drop
+        assert len(kept) < sum(len(columns) for columns in returned)
+        assert len(cands) == len(kept)
+        assert all(a is b for a, b in zip(cands, kept))
+        anchors.append(len(returned))
+    assert anchors == [1, 4]
+
+
+def test_evaluate_c0_stops_at_the_first_anchor_that_spans(cp2_cycle,
+                                                          monkeypatch):
+    """The seed-0 cycle lies in the span of its smallest anchor's columns:
+    ``evaluate_c0`` enumerates that one sphere and counts only its
+    columns."""
+    returned = _record_enumerated(monkeypatch)
+    _, cert = sv.evaluate_c0(*cp2_cycle)
+    assert len(returned) == 1
+    assert cert.columns_seen == len(_columns(returned[0])) == 29
 
 
 # Reference rules that read anchor geometry by scanning the facets and their

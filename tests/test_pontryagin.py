@@ -71,6 +71,16 @@ def test_pontryagin_number_is_three():
     assert cert.value == Fraction(6)
 
 
+def test_four_subdivisions_price_with_few_columns():
+    """The cycle of cp2_9 after 4 seeded facet subdivisions lies in the
+    span of its first anchors' columns, fewer than the 2,652 columns of
+    every anchor under it."""
+    K = pt.Manifold4Input(subdivided(fx.cp2_9(), 4))
+    p1, cert, _, gamma = pt.pontryagin_number(K)
+    assert p1 == 3 and not cert.residual(gamma)
+    assert cert.columns_seen < 2652
+
+
 def test_orientation_reversal_negates():
     value, *_ = pt.pontryagin_number(
         pt.Manifold4Input(fx.cp2_9().reverse()), ReductionConfig(seed=0))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,8 +87,8 @@ def test_budget_exhaustion_reported(stacked6, monkeypatch):
 
 
 def _decompose_every_column(gamma, cands, radius, prime):
-    """Reference for ``solver._decompose``: insert every column, then
-    express gamma over them."""
+    """Reference for ``solver._Span``: insert every column, then express
+    gamma over them."""
     coord = {}
     target = sv._on_coordinates(gamma, coord)
     elim = sv.Eliminator(prime)
@@ -102,6 +103,22 @@ def _decompose_every_column(gamma, cands, radius, prime):
     if cert.residual(gamma):
         raise sv.UnluckyPrime(f"no exact replay modulo {prime}")
     return cert
+
+
+def _record_inserts(monkeypatch) -> list:
+    """(prime, column index) of every ``Eliminator.insert`` while the test
+    runs, in call order."""
+    inserts, insert = [], sv.Eliminator.insert
+    monkeypatch.setattr(sv.Eliminator, "insert",
+                        lambda self, idx, vec: inserts.append((self.prime, idx))
+                        or insert(self, idx, vec))
+    return inserts
+
+
+def test_negative_radius_is_refused(stacked6):
+    g = gen.build_alpha6(stacked6, 1, 2, 3, 4, 5)
+    with pytest.raises(ValueError, match="radius_max -1"):
+        sv.evaluate_c0(g.chain, budget=sv.SolverBudget(radius_max=-1))
 
 
 @pytest.fixture(scope="module")
@@ -135,24 +152,27 @@ def priced_cycles():
 
 def test_early_stop_keeps_the_certificate(priced_cycles, monkeypatch):
     """Eliminating only until gamma lies in the span gives the certificate
-    of eliminating every column, with fewer inserts than columns."""
-    inserts = []
-    insert = sv.Eliminator.insert
-    monkeypatch.setattr(sv.Eliminator, "insert",
-                        lambda self, idx, vec: inserts.append(idx)
-                        or insert(self, idx, vec))
+    of eliminating every column built, modulo the same prime, with fewer
+    inserts than columns."""
+    inserts, calls = _record_inserts(monkeypatch), []
+    certificate = sv._Span.certificate
+    monkeypatch.setattr(sv._Span, "certificate",
+                        lambda self, cands, radius: calls.append(
+                            (self.elim.prime, list(cands), radius))
+                        or certificate(self, cands, radius))
     found = {}
     for name, gamma, registry, seed in priced_cycles:
         inserts.clear()
         budget = sv.SolverBudget(seed=seed)
         value, cert = sv.evaluate_c0(gamma, registry, budget)
         found[name] = (len(inserts), cert.columns_seen)
-        with monkeypatch.context() as m:
-            m.setattr(sv, "_decompose", _decompose_every_column)
-            ref_value, ref = sv.evaluate_c0(gamma, registry, budget)
-        assert (value, cert.terms) == (ref_value, ref.terms), name
+        prime, cands, radius = calls[-1]
+        assert len(cands) == cert.columns_seen, name
+        ref = _decompose_every_column(gamma, cands, radius, prime)
+        assert (value, cert.terms) == (ref.value, ref.terms), name
         assert cert.to_json() == ref.to_json(), name
-    assert found["cp2_9+0"][0] < found["cp2_9+0"][1] == 221
+    assert found["cp2_9+0"][0] < found["cp2_9+0"][1] == 29
+    assert found["cp2_9+4"][0] < found["cp2_9+4"][1] == 221
 
 
 @pytest.mark.parametrize("q", [Fraction(10**9, 7), 10**12, Fraction(10**40, 3),
@@ -313,20 +333,17 @@ def test_out_of_span_modulo_one_prime_keeps_the_radius(stacked6, monkeypatch):
 
 def test_out_of_span_cycle_skips_the_last_prime(stacked6, monkeypatch):
     """A cycle out of the span of the radius-0 columns is eliminated modulo
-    the two word-size primes only: the slow last prime lifts large
-    coefficients and has nothing to add once a prime found no result."""
+    the two word-size primes only, each column once modulo each: the first
+    prime as each anchor's columns come, the second at the end of the
+    radius.  The slow last prime lifts large coefficients and has nothing
+    to add once a prime found no result."""
     g = _radius_one_case(stacked6, monkeypatch)
-    primes = []
-    decompose = sv._decompose
-
-    def counted(gamma, cands, radius, prime):
-        primes.append(prime)
-        return decompose(gamma, cands, radius, prime)
-
-    monkeypatch.setattr(sv, "_decompose", counted)
-    with pytest.raises(sv.NoDecompositionWithinBudget):
+    inserts = _record_inserts(monkeypatch)
+    with pytest.raises(sv.NoDecompositionWithinBudget) as failure:
         sv.evaluate_c0(g.chain, budget=sv.SolverBudget(radius_max=0))
-    assert primes == list(sv.PRIMES[:2])
+    n = int(re.search(r"\((\d+) candidates\)", str(failure.value))[1])
+    assert n > 0
+    assert inserts == [(p, i) for p in sv.PRIMES[:2] for i in range(n)]
 
 
 def test_null_relations_retry_unlucky_prime(stacked6, monkeypatch):
