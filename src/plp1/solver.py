@@ -69,32 +69,26 @@ def rational(r: int, p: int) -> Fraction:
     return Fraction(r1, t1)
 
 
-def _subtract(dst: dict, src: dict, c: int, p: int) -> None:
-    """dst -= c * src modulo p, dropping the entries that become zero."""
-    for k, q in src.items():
-        s = (dst.get(k, 0) - c * q) % p
-        if s:
-            dst[k] = s
-        else:
-            del dst[k]
-
-
 class Eliminator:
     """Gaussian elimination modulo a prime over sparse columns.
 
     Columns map keys to rationals and are read as residues modulo
-    ``prime``.  ``insert`` reduces a column once.  A column independent of
-    the earlier ones becomes a basis row: its pivot, the reduced column
-    scaled so the pivot is 1, its column index, and the multiples of
-    earlier rows its reduction subtracted.  A dependent column is reduced
-    to zero, and the steps of that reduction are what ``combination``
-    substitutes back, from the last row to the first, to write the column
-    over the earlier ones; ``express`` does the same for any vector.
+    ``prime``.  A column is reduced by subtracting the row whose pivot is
+    its largest key that is a pivot, until no key is one; a row's keys are
+    at most its pivot, so that key strictly decreases and no row is met
+    twice.  ``insert`` makes a column independent of the earlier ones a
+    row, keyed by its pivot, the largest key it keeps (so a row holds no
+    earlier row's pivot): the reduced column scaled so the pivot is 1, its
+    column index, and the multiples of earlier rows its reduction
+    subtracted.  A dependent column is reduced to zero, and the steps of
+    that reduction are what ``combination`` substitutes back, from the
+    last row to the first, to write the column over the earlier ones;
+    ``express`` does the same for any vector.
     """
 
     def __init__(self, prime: int = PRIMES[0]):
         self.prime = prime
-        self.rows = []  # (pivot, row, column, 1 / pivot entry, multiples)
+        self.rows = {}  # pivot -> (row, column, 1 / pivot entry, multiples)
 
     def _residues(self, vec: dict) -> dict:
         p = self.prime
@@ -107,13 +101,17 @@ class Eliminator:
         return {k: r for k, r in out.items() if r}
 
     def _reduce(self, vec: dict):
-        """vec reduced by the rows, and [(row index, multiple subtracted)]."""
-        steps = []
-        for j, r in enumerate(self.rows):
-            c = vec.get(r[0])
-            if c:
-                _subtract(vec, r[1], c, self.prime)
-                steps.append((j, c))
+        """vec reduced by the rows, and [(pivot, multiple subtracted)]."""
+        rows, steps, p = self.rows, [], self.prime
+        while (pivot := max(filter(rows.__contains__, vec),
+                            default=None)) is not None:
+            c = vec[pivot]
+            for k, q in rows[pivot][0].items():  # vec -= c * row
+                if s := (vec.get(k, 0) - c * q) % p:
+                    vec[k] = s
+                else:
+                    del vec[k]
+            steps.append((pivot, c))
         return vec, steps
 
     def insert(self, idx, vec: dict) -> Optional[list]:
@@ -122,10 +120,10 @@ class Eliminator:
         v, steps = self._reduce(self._residues(vec))
         if not v:
             return steps
-        pivot, p = min(v), self.prime
+        pivot, p = max(v), self.prime
         inv = pow(v[pivot], -1, p)
-        self.rows.append((pivot, {k: q * inv % p for k, q in v.items()},
-                          idx, inv, steps))
+        self.rows[pivot] = ({k: q * inv % p for k, q in v.items()},
+                            idx, inv, steps)
         return None
 
     def express(self, vec: dict) -> Optional[dict]:
@@ -141,10 +139,10 @@ class Eliminator:
         """{i: a_i}, lifted by ``rational``, with sum a_i * col_i the
         vector that ``steps`` reduced to zero."""
         p, out, coeff = self.prime, {}, dict(steps)  # vec over the rows
-        for k in range(len(self.rows) - 1, -1, -1):
-            if coeff.get(k):
-                _, _, idx, inv, sub = self.rows[k]
-                a = out[idx] = coeff[k] * inv % p
+        for pivot in reversed(self.rows):
+            if coeff.get(pivot):
+                _, idx, inv, sub = self.rows[pivot]
+                a = out[idx] = coeff[pivot] * inv % p
                 for j, c in sub:
                     coeff[j] = (coeff.get(j, 0) - a * c) % p
         return {i: rational(a, p) for i, a in out.items()}
@@ -306,19 +304,19 @@ class _Span:
     """The elimination of gamma modulo one prime, resumed as columns come.
 
     Each column is inserted once, in order, until gamma lies in the span
-    of those so far.  The residual of gamma is reduced by each new row
-    alone, which equals reducing it by all rows so far, since a row is
-    zero at every earlier row's pivot, and its steps are what
-    ``combination`` substitutes back.  A later column could only add a
-    row with coefficient zero, because gamma's representation over
-    independent rows is unique; so the certificate is the one all columns
-    would give."""
+    of those so far.  The residual of gamma holds no pivot: a new row
+    holds no earlier row's pivot, so only a new row whose pivot is a key
+    of the residual changes it, and the eliminator's own reduction then
+    restores that, its steps being what ``combination`` substitutes back.
+    A later column could only add a row with coefficient zero, because
+    gamma's representation over independent rows is unique; so the
+    certificate is the one all columns would give."""
 
     def __init__(self, gamma: Chain1, prime: int):
         self.gamma, self.coord, self.elim = gamma, {}, Eliminator(prime)
         # EdgeKey -> integer coordinate, gamma's keys first
         self.residual = self.elim._residues(_on_coordinates(gamma, self.coord))
-        self.steps = []  # (row index, multiple subtracted from the residual)
+        self.steps = []  # (pivot, multiple subtracted from the residual)
         self.fed = 0     # columns of cands inserted so far
 
     def certificate(self, cands: list, radius: int):
@@ -326,16 +324,13 @@ class _Span:
         certificate of gamma over them, None when gamma is out of their
         span modulo the prime; raises UnluckyPrime when the certificate
         does not replay exactly."""
-        elim, prime = self.elim, self.elim.prime
+        elim = self.elim
         while self.residual and self.fed < len(cands):
             idx, self.fed = self.fed, self.fed + 1
-            if elim.insert(idx, _on_coordinates(cands[idx].chain,
-                                                self.coord)) is None:
-                pivot, row = elim.rows[-1][:2]
-                c = self.residual.get(pivot)
-                if c:
-                    _subtract(self.residual, row, c, prime)
-                    self.steps.append((len(elim.rows) - 1, c))
+            col = _on_coordinates(cands[idx].chain, self.coord)
+            if (elim.insert(idx, col) is None
+                    and next(reversed(elim.rows)) in self.residual):
+                self.steps += elim._reduce(self.residual)[1]
         if self.residual:
             return None
         terms = [(cands[i], q)
@@ -343,7 +338,7 @@ class _Span:
         value = sum((c.value * q for c, q in terms), Fraction(0))
         cert = DecompositionCertificate(terms, value, radius, len(cands))
         if cert.residual(self.gamma):
-            raise UnluckyPrime(f"no exact replay modulo {prime}")
+            raise UnluckyPrime(f"no exact replay modulo {elim.prime}")
         return cert
 
 

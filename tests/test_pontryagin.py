@@ -1,6 +1,7 @@
 import os
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,18 @@ def test_four_subdivisions_price_with_few_columns():
     p1, cert, _, gamma = pt.pontryagin_number(K)
     assert p1 == 3 and not cert.residual(gamma)
     assert cert.columns_seen < 2652
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_flipped_cp2_10_rung(reverse):
+    """CP² on 10 vertices made by a subdivision and 20 seeded flips, the
+    recipe in the file's header: p1 is 3, and -3 reversed, with an exact
+    replay."""
+    path = Path(__file__).parent / "data" / "cp2_10_flipped.facets"
+    K = cx.parse_facet_text(path.read_text())
+    p1, cert, _, gamma = pt.pontryagin_number(
+        pt.Manifold4Input(K.reverse() if reverse else K))
+    assert p1 == (-3 if reverse else 3) and not cert.residual(gamma)
 
 
 def test_orientation_reversal_negates():

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -231,6 +232,60 @@ def test_eliminator_relations():
         h.insert(i, c)
     half = Fraction(1, 2)
     assert h.express({"a": 1}) == {0: half, 1: half, 2: -half}
+
+
+def _exact_rank_grows(rows: list, col: dict) -> bool:
+    """Fraction Gaussian elimination: reduce col by the (pivot, row) pairs
+    in order, each row 1 at its pivot and 0 at every earlier pivot, and
+    append the reduced column as a row when it is nonzero."""
+    vec = {k: Fraction(q) for k, q in col.items()}
+    for pivot, row in rows:
+        c = vec.get(pivot)
+        if c:
+            for k, q in row.items():
+                vec[k] = vec.get(k, 0) - c * q
+            vec = {k: q for k, q in vec.items() if q}
+    if vec:
+        pivot = next(iter(vec))
+        rows.append((pivot, {k: q / vec[pivot] for k, q in vec.items()}))
+    return bool(vec)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("key", [lambda i: i, lambda i: (i % 3, -i)],
+                         ids=["int", "tuple"])
+def test_eliminator_agrees_with_exact_elimination(seed, key):
+    """Random sparse integer columns, about a third of them combinations of
+    earlier ones: a column becomes a row exactly when the exact rank
+    grows, a dependent column's combination and the expression of an
+    in-span vector rebuild them exactly, and the steps name pivots in
+    strictly decreasing order."""
+    rng = random.Random(seed)
+    keys = [key(i) for i in range(14)]
+    cols, exact, elim, multi_step = [], [], sv.Eliminator(), False
+    for i in range(40):
+        if i > 2 and rng.random() < 0.35:
+            col = _combine({j: rng.randint(-3, 3)
+                            for j in rng.sample(range(i), 3)}, cols)
+        else:
+            col = {k: q for k in rng.sample(keys, rng.randint(1, 4))
+                   if (q := rng.randint(-4, 4))}
+        cols.append(col)
+        steps = elim.insert(i, col)
+        assert (steps is None) == _exact_rank_grows(exact, col), i
+        if steps is not None:
+            pivots = [k for k, _ in steps]
+            assert pivots == sorted(set(pivots), reverse=True), i
+            multi_step |= len(pivots) > 1
+            combo = elim.combination(steps)
+            assert set(combo) <= set(range(i)), i
+            assert _combine(combo, cols) == col, i
+    assert multi_step
+    for _ in range(10):
+        vec = _combine({j: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                        for j in rng.sample(range(len(cols)), 4)}, cols)
+        assert _combine(elim.express(vec), cols) == vec
+    assert elim.express({key(99): 1}) is None
 
 
 def test_rational_reconstruction():
