@@ -5,10 +5,11 @@ an equivalence class of essential bistellar moves, identified by the codes
 of its two endpoints together with the automorphism orbits of the move's
 simplex on either side.  The key of a move and of its inverse coincide with
 opposite signs; an inessential move (orbit data palindromic) yields no edge
-at all.  Chains are sparse maps from edge keys to exact rationals: a
-coefficient is an ``int`` until a chain is scaled by a non-``int`` or read
-from JSON, and a ``Fraction`` from then on.  ``1 == Fraction(1)`` and both
-hash alike, so equality, dedup keys and ``to_json`` see no difference.
+at all.  ``EdgeKey.between`` is the one constructor of edge keys.  Chains
+are sparse maps from edge keys to exact rationals: a coefficient is an
+``int`` until a chain is scaled by a non-``int`` or read from JSON, and a
+``Fraction`` from then on.  ``1 == Fraction(1)`` and both hash alike, so
+equality, dedup keys and ``to_json`` see no difference.
 """
 from __future__ import annotations
 
@@ -45,12 +46,14 @@ class EdgeKey(NamedTuple):
     a: EndPoint
     b: EndPoint
 
+    @staticmethod
+    def between(src: EndPoint, dst: EndPoint):
+        """(key, sign) of the edge src -> dst, lesser endpoint first."""
+        return (EdgeKey(dst, src), -1) if dst < src else (EdgeKey(src, dst), 1)
+
     def mirror(self):
         """The mirror edge with the sign relating stored directions."""
-        ma, mb = self.a.mirrored(), self.b.mirrored()
-        if (mb, ma) < (ma, mb):
-            return EdgeKey(mb, ma), -1
-        return EdgeKey(ma, mb), 1
+        return EdgeKey.between(self.a.mirrored(), self.b.mirrored())
 
     def to_json(self) -> dict:
         return {"from": self.a.code.hex(), "from_orbit": list(self.a.orbit),
@@ -78,11 +81,7 @@ def edge_of_move(L: OrientedComplex, m: Move, L2: OrientedComplex):
     d = canonical.sphere_data(L)
     src = endpoint(d, m.delta1)
     dst = endpoint(d.after(m, L2), m.delta2)
-    if src == dst:
-        return None
-    if (dst, src) < (src, dst):
-        return EdgeKey(dst, src), -1
-    return EdgeKey(src, dst), 1
+    return None if src == dst else EdgeKey.between(src, dst)
 
 
 def _exact(q):
@@ -194,7 +193,8 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
     given a complex for.  Raises ChainFormatError, naming the entry, on
     anything but a list of {"edge": {...}, "coeff": "p/q"} entries whose
     orbits are canonical orbits of faces of their spheres, with int labels
-    (not bool) and no label repeated, and whose two endpoints differ.
+    (not bool) and no label repeated, and whose two endpoints differ; a
+    reversed entry is the same edge with the opposite sign.
     """
     spheres: dict = {}
 
@@ -228,7 +228,8 @@ def chain_from_json(entries: Iterable[dict]) -> Chain1:
             if a == b:
                 raise ValueError("the edge joins an endpoint to itself")
             num, den = entry["coeff"].split("/")
-            items.append((EdgeKey(a, b), Fraction(int(num), int(den))))
+            key, sign = EdgeKey.between(a, b)
+            items.append((key, sign * Fraction(int(num), int(den))))
         except (LookupError, TypeError, ValueError, AttributeError,
                 ZeroDivisionError, ComplexError) as exc:
             raise ChainFormatError(

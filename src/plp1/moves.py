@@ -7,6 +7,7 @@ subdivision (d2 is one fresh vertex); a move associated with a vertex is
 the inverse subdivision.  Orientations propagate so that unchanged facets
 keep their signs.  ``FaceIndex`` keeps the faces of a sphere, with their
 stars, up to date move by move; ``admissible_moves`` is its one-shot form.
+``_admit`` alone decides admissibility, for every move built or applied.
 """
 from __future__ import annotations
 
@@ -62,28 +63,26 @@ def _cofactor(d1: Simplex, star: Iterable[Simplex], n: int) -> Simplex:
 
 def make_move(L: OrientedComplex, delta1: Iterable[int],
               new_vertex: Optional[int] = None) -> Move:
-    """Build the move associated with delta1, deriving delta2; raises
-    MoveNotAdmissible when the link is not a missing-simplex boundary."""
+    """Build the move associated with delta1, deriving delta2 (for a facet,
+    the fresh vertex ``new_vertex``, default max+1); ``_admit`` admits it."""
     d1 = tuple(sorted(delta1))
     n = L.dim
-    if len(d1) == n + 1:
-        if d1 not in L.facets:
-            raise MoveNotAdmissible(f"{d1} is not a facet")
-        nv = new_vertex if new_vertex is not None else max(L.vertices) + 1
-        if nv in L.vertices:
-            raise MoveNotAdmissible(f"vertex {nv} already present")
-        return Move(d1, (nv,))
     s1 = set(d1)
-    d2 = _cofactor(d1, [f for f in L.facets if s1 <= set(f)], n)
-    if L.has_simplex(d2):
-        raise MoveNotAdmissible(f"cofactor {d2} already a simplex")
-    return Move(d1, d2)
+    star = [f for f in L.facets if s1 <= set(f)]
+    if len(d1) == n + 1:
+        d2 = (new_vertex if new_vertex is not None else max(L.vertices) + 1,)
+    else:
+        d2 = _cofactor(d1, star, n)
+    m = Move(d1, d2)
+    _admit(m, star, n, L.has_simplex(d2), len(L.facets))
+    return m
 
 
 def _admit(m: Move, star, n: int, present: bool, facets: int) -> None:
-    """Raise MoveNotAdmissible unless ``m`` is the move ``make_move`` builds
-    for its delta1 and keeps one of the ``facets`` facets of the n-sphere;
-    ``star`` holds the facets on delta1, ``present`` says if delta2 is."""
+    """Raise MoveNotAdmissible unless ``m`` is admissible in an n-sphere of
+    ``facets`` facets (``star`` holds those on delta1, ``present`` says if
+    delta2 is a simplex): a facet takes one absent vertex, any other sorted
+    delta1 the absent cofactor its star derives, and a facet must remain."""
     d1, d2 = m
     if len(d1) == n + 1:
         admissible = d1 in star and len(d2) == 1 and not present
@@ -213,9 +212,8 @@ def apply_move(L: OrientedComplex, m: Move) -> OrientedComplex:
     """(L minus d1*boundary(d2)) union (boundary(d1)*d2), orientation
     propagated so surviving facets keep their signs (``_star_signs``).
 
-    The move must be the one ``make_move`` builds for its delta1 (sorted,
-    with this delta2); the same facet pass that drops the star of delta1
-    checks that, so admissibility costs no extra scan.
+    ``_admit`` decides admissibility from the star of delta1 that the same
+    facet pass drops, so admissibility costs no extra scan.
     """
     s1, s2 = set(m.delta1), set(m.delta2)
     signs, star = {}, []

@@ -106,3 +106,13 @@ def write_facets(path, K: OrientedComplex) -> None:
             row[-1], row[-2] = row[-2], row[-1]
         lines.append(" ".join(map(str, row)))
     path.write_text("\n".join(lines) + "\n")
+
+
+def reversed_entry(entry: dict) -> dict:
+    """A chain-file entry with "from" and "to" swapped and its coefficient
+    negated: the same edge, the same chain."""
+    e = entry["edge"]
+    num, den = entry["coeff"].split("/")
+    return {"edge": {"from": e["to"], "from_orbit": e["to_orbit"],
+                     "to": e["from"], "to_orbit": e["from_orbit"]},
+            "coeff": f"{-int(num)}/{den}"}

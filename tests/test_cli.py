@@ -174,12 +174,13 @@ PINNED_C0_CYCLE = {
 @pytest.fixture(scope="module")
 def chain_files(tmp_path_factory):
     """The alpha6 chain of STACKED6 and the seed-0 cycle of cp2_9, each
-    written by ``Chain1.to_json``."""
+    written by ``Chain1.to_json``, and that cycle with every entry reversed
+    (``conftest.reversed_entry``)."""
     from plp1 import generators as gen
     from plp1 import pontryagin as pt
     from plp1.fixtures import cp2_9
     from plp1.reduction import ReductionConfig
-    from conftest import STACKED6, oriented
+    from conftest import STACKED6, oriented, reversed_entry
     K = pt.Manifold4Input(cp2_9())
     report = pt.verify_4manifold(K, ReductionConfig(seed=0))
     gamma, _ = pt.assemble_p1_cycle(K, report.links)
@@ -188,12 +189,18 @@ def chain_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("chains")
     for name, chain in chains.items():
         (root / f"{name}.json").write_text(json.dumps(chain.to_json()))
+    (root / "cp2_9_reversed.json").write_text(
+        json.dumps([reversed_entry(e) for e in gamma.to_json()]))
     return root
 
 
-@pytest.mark.parametrize("chain,seed", sorted(PINNED_C0_CYCLE))
+@pytest.mark.parametrize("chain,seed",
+                         sorted(PINNED_C0_CYCLE) + [("cp2_9_reversed", 0)])
 def test_c0_cycle_certificate_pinned(capsys, chain_files, chain, seed):
-    c0, value, columns, radius, terms = PINNED_C0_CYCLE[chain, seed]
+    """A reversed entry is the same edge with the opposite sign, so the
+    reversed cycle prints the bytes pinned for its canonical file."""
+    c0, value, columns, radius, terms = PINNED_C0_CYCLE[
+        chain.removesuffix("_reversed"), seed]
     code, out, _ = run_cli(capsys, "c0-cycle", str(chain_files / f"{chain}.json"),
                            "--json", "--certificate", "--seed", str(seed))
     assert code == 0

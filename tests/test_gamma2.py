@@ -10,7 +10,7 @@ from plp1 import gamma2 as g2
 from plp1 import moves as mv
 from plp1 import pontryagin as pt
 
-from conftest import BIPYRAMID, oriented, relabeled
+from conftest import BIPYRAMID, oriented, relabeled, reversed_entry
 
 
 def test_inessential_move_has_no_edge():
@@ -141,6 +141,14 @@ def test_chain_json_round_trip(stacked6):
     chain = g2.Chain1({key: sign}).scale(Fraction(7, 3))
     again = g2.chain_from_json(chain.to_json())
     assert again == chain
+    # an entry naming its endpoints to -> from, coefficient negated, is the
+    # same chain; an edge listed both ways round with one coefficient cancels
+    entries = chain.to_json()
+    flipped = [reversed_entry(entry) for entry in entries]
+    assert g2.chain_from_json(flipped) == chain
+    both_ways = entries + [dict(r, coeff=e["coeff"])
+                           for e, r in zip(entries, flipped)]
+    assert not g2.chain_from_json(both_ways)
 
 
 def test_chain_from_json_rejects_a_self_loop():

@@ -249,6 +249,13 @@ def test_inadmissible_rejected(octahedron):
         mv.make_move(octahedron, (1,))  # degree-4 vertex is not removable
     with pytest.raises(mv.MoveNotAdmissible):
         mv.apply_move(octahedron, mv.Move((1, 6), (2, 3)))  # not even an edge
+    # make_move leaves the verdict to _admit, whose message names the move
+    for delta1, new_vertex, bad in (
+            ((1, 2, 6), None, mv.Move((1, 2, 6), (7,))),  # not a facet
+            ((1, 2, 3), 6, mv.Move((1, 2, 3), (6,)))):    # vertex present
+        with pytest.raises(mv.MoveNotAdmissible) as err:
+            mv.make_move(octahedron, delta1, new_vertex=new_vertex)
+        assert str(err.value) == f"{bad} not admissible"
 
 
 def test_first_printed_step_on_link_table():
@@ -506,3 +513,20 @@ def test_inconsistent_star_is_non_orientable(octahedron):
     bad = cx.OrientedComplex(signs)
     with pytest.raises(cx.NonOrientable):
         mv.apply_move(bad, m)
+
+
+def test_edge_keys_are_built_only_by_between():
+    """Under ``src/``, ``EdgeKey(`` is called only inside ``EdgeKey.between``,
+    so every edge key stores its lesser endpoint first."""
+    def calls(node):
+        return {c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Name) and c.func.id == "EdgeKey"}
+    everywhere, inside = set(), set()
+    for path in sorted(Path(g2.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        everywhere |= calls(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "EdgeKey":
+                inside |= {c for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                           and fn.name == "between" for c in calls(fn)}
+    assert inside and everywhere == inside
