@@ -11,13 +11,13 @@ Each family is one function, ``build_alpha1`` … ``build_alpha6``: it
 reads the sphere's rotation system (``SphereData.rot``) once, checks and
 classifies its anchor there, raising AnchorConfigurationInvalid on a
 configuration the table does not price, and writes the loop down as a
-fixed list of moves from its anchor sphere.  The one replay in
-``gamma2.loop_to_chain`` applies and checks them, each step once per
-call of ``enumerate_at``.  A loop's chain is label-free, so
-``enumerate_at`` builds one anchor per orbit of Aut±, the sphere's
-orientation-preserving and orientation-reversing automorphisms together
-(``SphereData.automorphisms``), and returns each chain with its mirror,
-the two columns the solver prices.
+fixed list of moves from its anchor sphere, its flips too (``_flip``).
+The one replay in ``gamma2.loop_to_chain`` applies them, each step once
+per call of ``enumerate_at``, and ``moves._admit`` admits each there.
+A loop's chain is label-free, so ``enumerate_at`` builds one anchor per
+orbit of Aut±, the sphere's orientation-preserving and
+orientation-reversing automorphisms together (``SphereData.automorphisms``),
+and returns each chain with its mirror, the two columns the solver prices.
 
 Chirality conventions (which arc of a vertex star is counted as p, which
 endpoint of a shared edge is x) are fixed here once and guarded by the
@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 from . import canonical
 from .complexes import ComplexError, OrientedComplex, Simplex
 from .gamma2 import Chain1, loop_to_chain, mirror_chain
-from .moves import Move, MoveNotAdmissible, admissible_moves, make_move
+from .moves import Move, MoveNotAdmissible, admissible_moves
 
 
 class AnchorConfigurationInvalid(ComplexError):
@@ -181,15 +181,22 @@ def _move(d1, d2) -> Move:
     return Move(tuple(sorted(d1)), tuple(sorted(d2)))
 
 
+def _flip(rot: dict, e) -> Move:
+    """The flip of the edge e = (a, b) onto the tips of its two triangles.
+    It decides nothing: the replay admits it or not."""
+    a, b = e
+    return _move(e, (rot[a][b], rot[b][a]))
+
+
 def _finish(L: OrientedComplex, moves, spec: GeneratorSpec, bit: int,
             steps: Optional[dict]) -> GeneratorChain:
     """The column of a loop written down as its moves from L.
 
     The replay in ``loop_to_chain`` (through the step table ``steps``) is
-    the one place where the moves are applied: ``apply_move`` accepts a
-    move only if it is the one ``make_move`` derives on the replayed state,
-    so a wrong cofactor raises MoveNotAdmissible there, and a loop that
-    does not close raises LoopNotClosed."""
+    the one place where the moves are applied and admitted: ``_admit``
+    compares each cofactor with the one the replayed state derives, so a
+    wrong or present cofactor raises MoveNotAdmissible there, and a loop
+    that does not close raises LoopNotClosed."""
     return GeneratorChain(spec, False, loop_to_chain(L, moves, steps),
                           c0_of(spec) * bit * CHIRALITY[spec.kind])
 
@@ -251,39 +258,22 @@ def build_alpha2(L: OrientedComplex, t, e, steps=None) -> GeneratorChain:
         spec = GeneratorSpec("S2_2", (len(rot[x]) - 2, len(rot[y]) - 3))
     else:
         raise AnchorConfigurationInvalid("configuration is not a priced pattern")
-    try:
-        m2 = make_move(L, e)
-    except MoveNotAdmissible as exc:
-        raise AnchorConfigurationInvalid(str(exc))
-    m1 = Move(t, (max(L.vertices) + 1,))
+    m1, m2 = Move(t, (max(L.vertices) + 1,)), _flip(rot, e)
     return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], spec, bit, steps)
 
 
 # ---------------------------------------------------------------- alpha 3
 
-def admissible_pair(L: OrientedComplex, e1, e2):
-    """The flips (m1, m2) if no triangle contains both edges, both are legal
-    and the second stays legal after the first, else None.  The first then
-    changes no triangle at e2, so only a shared new edge makes it illegal."""
-    e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
-    if e1 == e2 or L.has_simplex(tuple(sorted(set(e1) | set(e2)))):
-        return None
-    try:
-        m1, m2 = make_move(L, e1), make_move(L, e2)
-    except MoveNotAdmissible:
-        return None
-    return (m1, m2) if m1.delta2 != m2.delta2 else None
-
-
 def build_alpha3(L: OrientedComplex, e1, e2, steps=None) -> GeneratorChain:
     """Flip e1, flip e2, flip the first new edge back, flip the second back:
-    the commutator of the two flips, both built on L."""
+    the commutator of the two flips, both built on L.  Two edges of one
+    triangle are no priced pattern; flips that make the same edge fail in
+    the replay."""
     e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
-    pair = admissible_pair(L, e1, e2)
-    if pair is None:
-        raise AnchorConfigurationInvalid(f"({e1}, {e2}) is not an admissible pair")
     rot = canonical.sphere_data(L).rot
     side1, side2 = _edge_triangles(rot, e1), _edge_triangles(rot, e2)
+    if e1 == e2 or side1 is None or side2 is None:
+        raise AnchorConfigurationInvalid("need two distinct edges")
     overlaps = [(d1, d2, set(d1) & set(d2)) for d1 in side1 for d2 in side2]
     nonempty = [(d1, d2, c) for d1, d2, c in overlaps if c]
     shared = [(d1, d2, c) for d1, d2, c in nonempty if len(c) == 2]
@@ -305,7 +295,7 @@ def build_alpha3(L: OrientedComplex, e1, e2, steps=None) -> GeneratorChain:
         spec = GeneratorSpec("S3_2", (len(rot[x]) - 3, len(rot[y]) - 3))
     else:
         raise AnchorConfigurationInvalid("configuration is not a priced pattern")
-    m1, m2 = pair
+    m1, m2 = _flip(rot, e1), _flip(rot, e2)
     return _finish(L, [m1, m2, m1.inverse(), m2.inverse()], spec, bit, steps)
 
 

@@ -100,7 +100,8 @@ def _run_share(work, vertices):
 
 def _per_vertex(work, vertices, facets: int) -> dict:
     """``{v: work(v)}`` in sorted vertex order, computed in shares (see the
-    module docstring); raises the error of the least failing vertex."""
+    module docstring); raises the error of the least failing vertex, and
+    ChildProcessError for a share whose child exits abnormally."""
     order = sorted(vertices)
     n = _share_count(facets, len(order))
     if n == 1:
@@ -141,8 +142,7 @@ def _per_vertex(work, vertices, facets: int) -> dict:
             blob = b"".join(iter(lambda: os.read(r, 1 << 20), b""))
             children.pop(0)
             os.close(r)
-            os.waitpid(pid, 0)
-            if not blob:
+            if os.waitpid(pid, 0)[1] or not blob:
                 raise ChildProcessError(
                     f"the share of vertices {share} returned no result")
             outcomes.append(pickle.loads(blob))

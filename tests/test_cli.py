@@ -286,6 +286,39 @@ def test_split_cli_prints_one_line_as_inline(tmp_path):
         json.loads(split)
 
 
+# The child of the second share writes half of its pickled result and is
+# killed, as the OOM killer may kill a child blocked on a full pipe.
+KILLED_SHARE_CLI = ("import os, signal, sys\n"
+                    "from plp1 import cli, pontryagin\n"
+                    "os.sched_getaffinity = lambda pid: set(range(2))\n"
+                    "pontryagin.SPLIT_MIN_FACETS = 0\n"
+                    "def fdopen(fd, *args, _open=os.fdopen, _parent=os.getpid()):\n"
+                    "    out = _open(fd, *args)\n"
+                    "    if os.getpid() != _parent:\n"
+                    "        def write(blob):\n"
+                    "            os.write(fd, blob[:len(blob) // 2])\n"
+                    "            os.kill(os.getpid(), signal.SIGKILL)\n"
+                    "        out.write = write\n"
+                    "    return out\n"
+                    "os.fdopen = fdopen\n"
+                    "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def test_killed_share_exits_one_with_a_json_error():
+    """A share whose child dies is a ChildProcessError, not a traceback
+    from unpickling the part of its result that came through the pipe."""
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_SHARE_CLI, "verify",
+         str(fixture_path("cp2_9.facets")), "--json"],
+        capture_output=True, env=_child_env())
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.count(b"\n") == 1
+    error = json.loads(proc.stderr)
+    assert error["error"] == "ChildProcessError"
+    assert error["detail"].endswith("returned no result")
+
+
 def test_selfcheck(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--json")
     assert code == 0

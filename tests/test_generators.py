@@ -74,9 +74,38 @@ def test_alpha2_loop_and_error(octahedron, loop_moves):
         gen.build_alpha2(octahedron, (1, 2, 3), (1, 2))  # edge inside triangle
 
 
+def test_alpha2_flip_is_admitted_by_the_replay(bipyramid, monkeypatch):
+    """The flip of (1, 5) makes the edge (2, 3), which the bipyramid has:
+    ``build_alpha2`` writes it down unchecked, the replay rejects it at
+    step 1, and ``enumerate_at`` replays no loop with that flip."""
+    with pytest.raises(mv.MoveNotAdmissible) as err:
+        gen.build_alpha2(bipyramid, (1, 2, 4), (1, 5))
+    assert str(err.value) == "step 1: cofactor (2, 3) already a simplex"
+    replayed, replay = [], gen.loop_to_chain
+
+    def record(L, moves, steps=None):
+        replayed.extend(moves)
+        return replay(L, moves, steps)
+
+    monkeypatch.setattr(gen, "loop_to_chain", record)
+    assert gen.enumerate_at(bipyramid)
+    assert replayed and mv.Move((1, 5), (2, 3)) not in replayed
+
+
+def test_flip_is_the_move_make_move_derives(octahedron, stacked6, bipyramid):
+    from plp1.selfcheck import random_walk
+    rng = random.Random(0)
+    walks = [random_walk(cx.boundary_simplex(3), rng.randrange(4, 16), rng)
+             for _ in range(4)]
+    for L in (octahedron, stacked6, bipyramid, *walks):
+        rot = canon.sphere_data(L).rot
+        flips = mv.admissible_moves(L, (2,))
+        assert flips
+        for m in flips:
+            assert gen._flip(rot, m.delta1) == mv.make_move(L, m.delta1) == m
+
+
 def test_alpha3_admissible_pair(octahedron, loop_moves):
-    assert gen.admissible_pair(octahedron, (1, 2), (3, 5))
-    assert not gen.admissible_pair(octahedron, (1, 2), (1, 3))  # share a facet
     g = gen.build_alpha3(octahedron, (1, 2), (3, 5))
     assert [len(moves) for _, moves in loop_moves] == [4]
     assert g2.is_cycle(g.chain)
@@ -219,12 +248,13 @@ def test_enumeration_collapses_on_symmetric_spheres():
 
 
 def test_octahedron_admissible_pairs_exist(octahedron):
-    import itertools
-    adm = [e for e in sorted(octahedron.faces(1))
-           if gen.admissible_pair(octahedron, e, e) or True]
-    pairs = [(e1, e2) for e1, e2 in itertools.combinations(
-                 sorted(octahedron.faces(1)), 2)
-             if gen.admissible_pair(octahedron, e1, e2)]
+    pairs = []
+    for e1, e2 in itertools.combinations(sorted(octahedron.faces(1)), 2):
+        try:
+            gen.build_alpha3(octahedron, e1, e2)
+        except (gen.AnchorConfigurationInvalid, mv.MoveNotAdmissible):
+            continue
+        pairs.append((e1, e2))
     assert len(pairs) > 0
     # every edge of the octahedron is flippable, pairs exclude facet-sharing
     for e1, e2 in pairs:
